@@ -481,6 +481,9 @@ def standard_checks() -> list[OpCheck]:
             "network",
             _build_end_to_end,
             rel_tol=1e-4,
+            # the net has kinks (leaky relu, |x|, max); at 1e-5 the central
+            # difference straddles one on some seeds (25 and 40 among 0-79)
+            step=1e-6,
             max_per_input=1,
         ),
     ]

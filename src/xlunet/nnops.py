@@ -11,6 +11,22 @@ directions share the same two index maps (``_im2col``/``_col2im``), so
 <conv(x, w), y> == <x, conv_transpose(y, w)> holds to rounding error, with
 the *same* weight array: conv weights are (out_ch, in_ch, *k), transposed
 conv weights are (in_ch, out_ch, *k).
+
+Backward routes.  Both weight cotangents are one batched BLAS matmul summed
+over the batch.  The input cotangent of ``conv_nd`` depends on its geometry:
+
+* stride 1 and padding <= k-1 on every axis (every 3x3/pad-1 and 1x1/pad-0
+  conv in the network): output p reads input q = p + off - padding through
+  tap off, so input q gathers g[q - (k-1-padding) + off'] through tap
+  off = k-1-off'.  That is a correlation of g, padded by k-1-padding, with
+  the kernel flipped on every spatial axis and its in/out axes swapped:
+  ``_im2col`` of g and one (Cin, Cout*K) @ (Cout*K, P) GEMM, whose inner
+  dimension is Cout*K rather than Cout, and no scatter-add;
+* otherwise (strided, or padding > k-1, where the padded g would need a
+  negative pad): ``w.T @ g`` back onto patches, then ``_col2im``.
+
+The input cotangent of ``conv_transpose_nd`` is always ``_im2col`` of g and
+a GEMM, the forward of ``conv_nd``.
 """
 
 from __future__ import annotations
@@ -123,11 +139,19 @@ def conv_nd(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1, padding=
 
     def vjp(g):
         g2 = g.reshape(b, cout, -1)
-        gw = np.einsum("bop,bkp->ok", g2, cols).reshape(w.shape)
+        gw = np.matmul(cols, g2.transpose(0, 2, 1)).sum(axis=0).T.reshape(w.shape)
         if _tensor._BACKWARD_FAULT[0] != 0.0:
             gw = gw * (1.0 + _tensor._BACKWARD_FAULT[0])
-        gcols = np.matmul(w2.T, g2)
-        gx = _col2im(gcols, cin, sp, k, stride, padding, out_sp)
+        # at stride 1 with padding <= k-1: correlate the padded g with the
+        # flipped kernel (see the module docstring)
+        back_pad = tuple(kk - 1 - p for kk, p in zip(k, padding))
+        if all(s == 1 for s in stride) and min(back_pad) >= 0:
+            flip = (slice(None), slice(None)) + (slice(None, None, -1),) * rank
+            w_flip = w2.reshape(w.shape).swapaxes(0, 1)[flip].reshape(cin, -1)
+            gcols = _im2col(g, k, stride, back_pad, sp)  # (B, Cout*K, P_in)
+            gx = np.matmul(w_flip, gcols).reshape(x.shape)
+        else:
+            gx = _col2im(np.matmul(w2.T, g2), cin, sp, k, stride, padding, out_sp)
         if bias is None:
             return gx, gw
         return gx, gw, g2.sum(axis=(0, 2))
@@ -192,7 +216,9 @@ def conv_transpose_nd(
     def vjp(g):
         gcols = _im2col(g, k, stride, padding, sp)  # (B, Cout*K, P)
         gx = np.matmul(w2, gcols).reshape(x.shape)
-        gw = np.einsum("bip,bkp->ik", x2, gcols).reshape(w.shape)
+        gw = np.matmul(x2, gcols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        if _tensor._BACKWARD_FAULT[0] != 0.0:
+            gw = gw * (1.0 + _tensor._BACKWARD_FAULT[0])
         if bias is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0,) + tuple(range(2, 2 + rank)))

@@ -556,16 +556,17 @@ def reduce_max(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     """Max along one axis; gradient routes to the first maximal element."""
     _require_float(x, "reduce_max")
     (ax,) = _norm_axes(axis, x.ndim, "reduce_max")
-    m = x.data.max(axis=ax, keepdims=True)
-    hit = x.data == m
-    first = np.cumsum(hit, axis=ax) == 1
-    mask = (hit & first).astype(x.data.dtype)
+    idx = np.expand_dims(np.argmax(x.data, axis=ax), ax)
+    m = np.take_along_axis(x.data, idx, axis=ax)
     out = Tensor(m if keepdims else np.squeeze(m, axis=ax))
+    shape, dtype = x.data.shape, x.data.dtype
 
     def vjp(g):
         if not keepdims:
             g = np.expand_dims(g, ax)
-        return (mask * g,)
+        gx = np.zeros(shape, dtype=dtype)
+        np.put_along_axis(gx, idx, g, axis=ax)
+        return (gx,)
 
     return record(out, (x,), vjp)
 

@@ -54,6 +54,26 @@ def test_reduce_max_routes_to_first_argmax():
     np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 0.0, 0.0]])
 
 
+def test_reduce_max_ties_on_a_middle_axis():
+    # max over axis 1 of (2, 3, 2); tied maxima in three of the four columns
+    x = _leaf(
+        [
+            [[1.0, 5.0], [4.0, 5.0], [4.0, 2.0]],
+            [[7.0, 0.0], [7.0, 0.0], [7.0, 0.0]],
+        ]
+    )
+    wt = Tensor(np.array([[2.0, 3.0], [5.0, 7.0]]))
+    with Graph() as g:
+        m = T.reduce_max(x, axis=1)
+        loss = T.reduce_sum(T.mul(m, wt))
+    backward(loss, g)
+    np.testing.assert_array_equal(m.data, [[4.0, 5.0], [7.0, 0.0]])
+    expected = np.zeros((2, 3, 2))
+    expected[0, 1, 0], expected[0, 0, 1] = 2.0, 3.0
+    expected[1, 0, 0], expected[1, 0, 1] = 5.0, 7.0
+    np.testing.assert_array_equal(x.grad, expected)
+
+
 def test_scalar_mixed_in_grad():
     x = _leaf([2.0])
     with Graph() as g:
@@ -186,6 +206,20 @@ def test_corrupted_backward_is_detected(rng):
     # and the hook resets on exit
     again = finite_diff_check(fn, [a, b], rng=rng, name="again")
     assert again.passed
+
+
+def test_corrupted_backward_fails_every_conv_check():
+    results = run_checks(module="nnops", seed=0, corrupt=True)
+    convs = [r for r in results if r.name.startswith("conv")]
+    assert {r.name for r in convs} >= {"conv2d", "conv_transpose2d"}
+    assert not any(r.passed for r in convs), [r.line() for r in convs]
+
+
+@pytest.mark.parametrize("seed", [25, 40])
+def test_end_to_end_check_passes_on_kink_prone_seeds(seed):
+    # at step 1e-5 the central difference straddled a kink on these seeds
+    results = run_checks(module="network", seed=seed)
+    assert all(r.passed for r in results), [r.line() for r in results]
 
 
 def test_standard_checks_all_pass_fast_subset():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import xlunet.nnops as N
 import xlunet.tensor as T
+from xlunet.gradcheck import finite_diff_check
 from xlunet.tensor import ContractError, Graph, Tensor, backward
 
 from oracles import conv_nd_loops, conv_transpose_nd_loops
@@ -234,3 +235,45 @@ def test_conv_vjp_is_true_adjoint(rng, stride, padding):
     lhs = float((jv * u).sum())
     rhs = float((v * x.grad).sum())
     assert lhs == pytest.approx(rhs, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# finite differences for each conv_nd backward route
+
+
+@pytest.mark.parametrize(
+    "rank,k,padding,uses_col2im",
+    [
+        (1, 3, 0, False),
+        (1, 3, 1, False),
+        (2, 3, 0, False),
+        (2, 3, 1, False),
+        (3, 3, 0, False),
+        (3, 3, 1, False),
+        (3, 1, 0, False),
+        (2, 3, 3, True),  # padding > k - 1: no flipped-kernel correlation
+    ],
+)
+def test_conv_stride1_gradients_match_finite_differences(
+    rng, monkeypatch, rank, k, padding, uses_col2im
+):
+    sp = {1: (6,), 2: (5, 4), 3: (4, 3, 3)}[rank]
+    x = _t(rng.normal(size=(2, 3) + sp), grad=True)
+    w = _t(rng.normal(size=(4, 3) + (k,) * rank), grad=True)
+    out_sp = tuple(n + 2 * padding - k + 1 for n in sp)
+    wt = _t(rng.normal(size=(2, 4) + out_sp))
+    col2im_calls = []
+    col2im = N._col2im
+
+    def counted_col2im(*args):
+        col2im_calls.append(args)
+        return col2im(*args)
+
+    monkeypatch.setattr(N, "_col2im", counted_col2im)
+
+    def fn():
+        return T.reduce_sum(T.mul(N.conv_nd(x, w, stride=1, padding=padding), wt))
+
+    res = finite_diff_check(fn, [x, w], rng=rng)
+    assert res.passed, res.line()
+    assert bool(col2im_calls) == uses_col2im
