@@ -18,7 +18,7 @@ backwards deliberately wrong, and a gradcheck run under it must fail.
 from __future__ import annotations
 
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -512,20 +512,7 @@ def run_checks(
         key = zlib.crc32(check.name.encode())
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
         fn, inputs = check.build(rng)
-        if corrupt:
-            with corrupted_backward():
-                result = finite_diff_check(
-                    fn,
-                    inputs,
-                    step=check.step,
-                    rel_tol=check.rel_tol,
-                    abs_tol=check.abs_tol,
-                    max_per_input=check.max_per_input,
-                    rng=rng,
-                    name=check.name,
-                    module=check.module,
-                )
-        else:
+        with corrupted_backward() if corrupt else nullcontext():
             result = finite_diff_check(
                 fn,
                 inputs,

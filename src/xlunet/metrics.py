@@ -68,12 +68,17 @@ def boundary_mask(mask: np.ndarray) -> np.ndarray:
     return mask & touches_bg
 
 
+def _mask_pair(pred, gt, name: str) -> tuple[np.ndarray, np.ndarray]:
+    pred = _as_mask(pred, name)
+    gt = _as_mask(gt, name)
+    if pred.shape != gt.shape:
+        raise ContractError(f"{name}: shapes differ: {pred.shape} vs {gt.shape}")
+    return pred, gt
+
+
 def dice_coefficient(pred: np.ndarray, gt: np.ndarray) -> float:
     """2|P∩G| / (|P| + |G|); 1.0 when both masks are empty."""
-    pred = _as_mask(pred, "dice_coefficient")
-    gt = _as_mask(gt, "dice_coefficient")
-    if pred.shape != gt.shape:
-        raise ContractError(f"dice_coefficient: shapes differ: {pred.shape} vs {gt.shape}")
+    pred, gt = _mask_pair(pred, gt, "dice_coefficient")
     p = int(pred.sum())
     g = int(gt.sum())
     if p == 0 and g == 0:
@@ -82,46 +87,43 @@ def dice_coefficient(pred: np.ndarray, gt: np.ndarray) -> float:
     return 2.0 * inter / (p + g)
 
 
+def _surface_distances(pred, gt, name: str):
+    """The distance from every boundary voxel of ``pred`` to the nearest
+    boundary voxel of ``gt``, and from every boundary voxel of ``gt`` to
+    ``pred``'s: one EDT per side, shared by NSD and HD95.  None when either
+    mask is empty."""
+    pred, gt = _mask_pair(pred, gt, name)
+    if not pred.any() or not gt.any():
+        return None
+    bp = boundary_mask(pred)
+    bg = boundary_mask(gt)
+    return ndimage.distance_transform_edt(~bg)[bp], ndimage.distance_transform_edt(~bp)[bg]
+
+
+def _nsd(pred, gt, distances, tolerance: float) -> float:
+    if tolerance < 0:
+        raise ContractError(f"surface_dice: tolerance must be >= 0, got {tolerance}")
+    if distances is None:
+        return 1.0 if not np.any(pred) and not np.any(gt) else 0.0
+    to_gt, to_pred = distances
+    close = int((to_gt <= tolerance).sum()) + int((to_pred <= tolerance).sum())
+    return close / (to_gt.size + to_pred.size)
+
+
+def _hd95(distances) -> float | None:
+    return None if distances is None else float(np.percentile(np.concatenate(distances), 95))
+
+
 def surface_dice(pred: np.ndarray, gt: np.ndarray, tolerance: float = 1.0) -> float:
     """Fraction of boundary voxels (both directions) within ``tolerance`` of
     the other mask's boundary.  Empty/empty -> 1.0, one-sided empty -> 0.0."""
-    pred = _as_mask(pred, "surface_dice")
-    gt = _as_mask(gt, "surface_dice")
-    if pred.shape != gt.shape:
-        raise ContractError(f"surface_dice: shapes differ: {pred.shape} vs {gt.shape}")
-    if tolerance < 0:
-        raise ContractError(f"surface_dice: tolerance must be >= 0, got {tolerance}")
-    p_empty = not pred.any()
-    g_empty = not gt.any()
-    if p_empty and g_empty:
-        return 1.0
-    if p_empty or g_empty:
-        return 0.0
-    bp = boundary_mask(pred)
-    bg = boundary_mask(gt)
-    # distance of every voxel to the nearest boundary voxel of the other mask
-    dist_to_g = ndimage.distance_transform_edt(~bg)
-    dist_to_p = ndimage.distance_transform_edt(~bp)
-    close_p = int((dist_to_g[bp] <= tolerance).sum())
-    close_g = int((dist_to_p[bg] <= tolerance).sum())
-    return (close_p + close_g) / (int(bp.sum()) + int(bg.sum()))
+    return _nsd(pred, gt, _surface_distances(pred, gt, "surface_dice"), tolerance)
 
 
 def hausdorff95(pred: np.ndarray, gt: np.ndarray) -> float | None:
     """95th percentile (linear interpolation) of the pooled symmetric
     boundary-to-boundary distances; None when either mask is empty."""
-    pred = _as_mask(pred, "hausdorff95")
-    gt = _as_mask(gt, "hausdorff95")
-    if pred.shape != gt.shape:
-        raise ContractError(f"hausdorff95: shapes differ: {pred.shape} vs {gt.shape}")
-    if not pred.any() or not gt.any():
-        return None
-    bp = boundary_mask(pred)
-    bg = boundary_mask(gt)
-    dist_to_g = ndimage.distance_transform_edt(~bg)
-    dist_to_p = ndimage.distance_transform_edt(~bp)
-    pooled = np.concatenate([dist_to_g[bp], dist_to_p[bg]])
-    return float(np.percentile(pooled, 95))
+    return _hd95(_surface_distances(pred, gt, "hausdorff95"))
 
 
 def _face_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
@@ -132,10 +134,7 @@ def _face_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
 
 def instance_f1(pred: np.ndarray, gt: np.ndarray, iou_threshold: float = 0.5) -> float:
     """Greedy instance matching between connected components of both masks."""
-    pred = _as_mask(pred, "instance_f1")
-    gt = _as_mask(gt, "instance_f1")
-    if pred.shape != gt.shape:
-        raise ContractError(f"instance_f1: shapes differ: {pred.shape} vs {gt.shape}")
+    pred, gt = _mask_pair(pred, gt, "instance_f1")
     if not 0 < iou_threshold <= 1:
         raise ContractError(f"instance_f1: iou_threshold must be in (0, 1], got {iou_threshold}")
     pred_lab, n_pred = _face_components(pred)
@@ -202,10 +201,12 @@ def evaluate_case(
         row: dict[str, float | None] = {}
         if "dsc" in metrics:
             row["dsc"] = dice_coefficient(pmask, gmask)
+        if "nsd" in metrics or "hd95" in metrics:
+            distances = _surface_distances(pmask, gmask, "evaluate_case")
         if "nsd" in metrics:
-            row["nsd"] = surface_dice(pmask, gmask, tolerance)
+            row["nsd"] = _nsd(pmask, gmask, distances, tolerance)
         if "hd95" in metrics:
-            row["hd95"] = hausdorff95(pmask, gmask)
+            row["hd95"] = _hd95(distances)
         if "f1" in metrics:
             row["f1"] = instance_f1(pmask, gmask, iou_threshold)
         out[cls] = row

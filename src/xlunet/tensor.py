@@ -15,10 +15,12 @@ the contract here is deliberately strict:
 
 Finiteness policy: ops do not sweep their outputs with ``isfinite`` (the
 attention-style sequence kernel legitimately feeds ``-inf`` log-weights into
-``exp`` to encode causal masking, and exact zeros come out).  Instead, every
-place where a NaN could otherwise appear *silently* — gate activations, the
-loss value, optimizer gradients — performs a named check; see vil.py,
-losses.py and optim.py.
+``exp`` to encode causal masking, and exact zeros come out).  Instead,
+training is guarded by named checks at three points where a NaN would
+otherwise pass silently: the network output (``Network.forward``), the loss
+(``dice_ce_loss``) and every gradient (``adamw_step``).  ``log`` and
+``sqrt`` reject non-positive inputs, and the serial reference
+``vil.mlstm_step`` checks its gates; the taped sequence kernel does not.
 """
 
 from __future__ import annotations
@@ -218,7 +220,9 @@ class Graph:
 
         Leaves are the requires-grad tensors that entered the graph without
         being produced by it (parameters, checked inputs).  Leaves the loss
-        does not depend on receive zero gradients, not ``None``.
+        does not depend on receive zero gradients, not ``None``.  The sweep
+        drops each node as it passes it, so the tape and the intermediates
+        only it references are freed by the time ``backward`` returns.
         """
         if self._consumed:
             raise GraphError("this graph was already consumed by backward(); record a fresh forward pass")
@@ -232,7 +236,9 @@ class Graph:
             )
         self._consumed = True
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        for out, inputs, vjp in reversed(self._nodes):
+        nodes = self._nodes
+        while nodes:
+            out, inputs, vjp = nodes.pop()
             gout = grads.pop(id(out), None)
             if gout is None:
                 continue

@@ -9,17 +9,24 @@ generator states, and resuming reproduces the uninterrupted run bit for bit.
 The train log's wall-clock column is the one deliberately nondeterministic
 artifact.
 
-Checkpoints are directories: a ``manifest.json`` (sorted keys, no
-timestamps) holding the config, counters, RNG states and a name->file map,
-plus one tensor file per parameter and optimizer moment.  ``latest/`` is
-written every epoch and ``best/`` tracks the lowest epoch-mean training
-loss.
+A checkpoint directory holds ``manifest.json`` (sorted keys, no timestamps:
+config, counters, RNG states, the ``[name, shape]`` layout, the state file's
+name and SHA-256) and ``state-<first 16 hex of the SHA-256>.xten``, one
+float32 (3, N) tensor whose rows are the parameters, ``exp_avg`` and
+``exp_avg_sq``, each concatenated in ``net.params`` order.  The digest is of
+the payload (little-endian values, row-major).  A save writes, fsyncs and
+renames the state into place, then the manifest, and only then deletes older
+state files, so a crash mid-save leaves the previous checkpoint whole; a
+restore checks layout, shape and digest first.  ``latest/`` is written every
+epoch and ``best/`` tracks the lowest epoch-mean training loss.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -43,7 +50,7 @@ from .metrics import (
     write_aggregate_csv,
     write_case_jsonl,
 )
-from .network import Network, NetworkConfig, build_network
+from .network import Network, NetworkConfig, build_network, count_parameters
 from .optim import AdamWConfig, AdamWState, adamw_step, init_adamw, lr_schedule
 from .tensor import ContractError, Graph, NumericsError, Tensor, backward
 
@@ -59,7 +66,7 @@ __all__ = [
     "run_eval",
 ]
 
-_CKPT_FORMAT = "xlunet-checkpoint-v1"
+_CKPT_FORMAT = "xlunet-checkpoint-v2"
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +233,17 @@ def _rng_stream(seed: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
 
 
+def _state_digest(state: np.ndarray) -> str:
+    return hashlib.sha256(state.astype("<f4", copy=False)).hexdigest()
+
+
+def _replace_synced(tmp: Path, final: Path) -> None:
+    """fsync ``tmp``, then atomically rename it to ``final``."""
+    with open(tmp, "rb") as f:
+        os.fsync(f.fileno())
+    os.replace(tmp, final)
+
+
 def save_checkpoint(
     ckpt_dir,
     net: Network,
@@ -237,21 +255,15 @@ def save_checkpoint(
     rng_states: dict,
 ) -> None:
     ckpt_dir = Path(ckpt_dir)
-    arrays = ckpt_dir / "arrays"
-    arrays.mkdir(parents=True, exist_ok=True)
-    param_files: dict[str, str] = {}
-    avg_files: dict[str, str] = {}
-    sq_files: dict[str, str] = {}
-    for i, (name, p) in enumerate(net.params.items()):
-        rel = f"arrays/p_{i:04d}.xten"
-        write_xten(ckpt_dir / rel, p.data)
-        param_files[name] = rel
-        rel_m = f"arrays/m_{i:04d}.xten"
-        write_xten(ckpt_dir / rel_m, opt_state.exp_avg[name])
-        avg_files[name] = rel_m
-        rel_v = f"arrays/v_{i:04d}.xten"
-        write_xten(ckpt_dir / rel_v, opt_state.exp_avg_sq[name])
-        sq_files[name] = rel_v
+    ckpt_dir.mkdir(parents=True, exist_ok=True)
+    state = np.empty((3, count_parameters(net)), dtype=np.float32)
+    for row, arrays in zip(state, ({n: p.data for n, p in net.params.items()},
+                                   opt_state.exp_avg, opt_state.exp_avg_sq)):
+        np.concatenate([arrays[name].ravel() for name in net.params], out=row)
+    digest = _state_digest(state)
+    state_name = f"state-{digest[:16]}.xten"
+    write_xten(ckpt_dir / "state.xten.tmp", state)
+    _replace_synced(ckpt_dir / "state.xten.tmp", ckpt_dir / state_name)
     manifest = {
         "format": _CKPT_FORMAT,
         "config": cfg.to_dict(),
@@ -259,16 +271,18 @@ def save_checkpoint(
         "global_step": global_step,
         "best_loss": best_loss,
         "rng": rng_states,
-        "params": param_files,
-        "optim": {
-            "step_count": opt_state.step_count,
-            "exp_avg": avg_files,
-            "exp_avg_sq": sq_files,
-        },
+        "step_count": opt_state.step_count,
+        "layout": [[name, list(p.shape)] for name, p in net.params.items()],
+        "state": state_name,
+        "sha256": digest,
     }
-    with open(ckpt_dir / "manifest.json", "w") as f:
+    with open(ckpt_dir / "manifest.json.tmp", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
+    _replace_synced(ckpt_dir / "manifest.json.tmp", ckpt_dir / "manifest.json")
+    for old in ckpt_dir.glob("state-*.xten"):
+        if old.name != state_name:
+            old.unlink()
 
 
 def load_checkpoint(ckpt_dir) -> dict:
@@ -288,31 +302,34 @@ def load_checkpoint(ckpt_dir) -> dict:
 
 def restore_network(manifest: dict) -> tuple[Network, RunConfig]:
     """Rebuild the network described by a checkpoint and load its weights."""
-    cfg = run_config_from_dict(manifest["config"])
-    net = build_network(cfg.network_config())
-    ckpt_dir = manifest["_dir"]
-    stored = manifest["params"]
-    if set(stored) != set(net.params):
-        raise ContractError("checkpoint parameters do not match the configured network")
-    for name, rel in stored.items():
-        arr = read_xten(ckpt_dir / rel)
-        if arr.shape != net.params[name].shape:
-            raise ContractError(
-                f"checkpoint parameter {name!r} has shape {arr.shape},"
-                f" network expects {net.params[name].shape}"
-            )
-        net.params[name].data = arr.astype(np.float32, copy=False)
+    net, cfg, _ = _restore(manifest)
     return net, cfg
 
 
-def _restore_opt_state(manifest: dict, net: Network) -> AdamWState:
-    ckpt_dir = manifest["_dir"]
-    optim = manifest["optim"]
-    state = AdamWState(step_count=int(optim["step_count"]))
-    for name in net.params:
-        state.exp_avg[name] = read_xten(ckpt_dir / optim["exp_avg"][name])
-        state.exp_avg_sq[name] = read_xten(ckpt_dir / optim["exp_avg_sq"][name])
-    return state
+def _restore(manifest: dict) -> tuple[Network, RunConfig, AdamWState]:
+    """Rebuild the network and its optimizer state from the checkpoint's
+    state file, after checking it against the manifest."""
+    cfg = run_config_from_dict(manifest["config"])
+    net = build_network(cfg.network_config())
+    if manifest["layout"] != [[name, list(p.shape)] for name, p in net.params.items()]:
+        raise ContractError("checkpoint parameters do not match the configured network")
+    path = manifest["_dir"] / manifest["state"]
+    state = read_xten(path)
+    expected = (3, count_parameters(net))
+    if state.dtype != np.float32 or state.shape != expected:
+        raise ContractError(
+            f"{path}: state is {state.dtype} {state.shape}, expected float32 {expected}"
+        )
+    if _state_digest(state) != manifest["sha256"]:
+        raise ContractError(f"{path}: SHA-256 does not match the manifest; the file is corrupt")
+    opt_state = AdamWState(step_count=int(manifest["step_count"]))
+    offsets = np.cumsum([p.size for p in net.params.values()])[:-1]
+    for (name, p), chunk in zip(net.params.items(), np.split(state, offsets, axis=1)):
+        values, avg, avg_sq = chunk.reshape((3,) + p.shape)
+        p.data = values.copy()
+        opt_state.exp_avg[name] = avg.copy()
+        opt_state.exp_avg_sq[name] = avg_sq.copy()
+    return net, cfg, opt_state
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +407,7 @@ def run_training(
                 "resume: run config does not match the checkpoint's"
                 " (omit --config or pass the identical file)"
             )
-        net, _ = restore_network(manifest)
-        opt_state = _restore_opt_state(manifest, net)
+        net, _, opt_state = _restore(manifest)
         sampling_rng.bit_generator.state = manifest["rng"]["sampling"]
         augment_rng.bit_generator.state = manifest["rng"]["augment"]
         start_epoch = int(manifest["epochs_completed"])

@@ -287,18 +287,9 @@ def mlstm_step(x: np.ndarray, params: MlstmParams, state: MlstmState):
     if not np.all(np.isfinite(h_inner)):
         raise NumericsError("mlstm_step: memory readout is non-finite")
 
-    out_gate = _stable_sigmoid_np(x @ params.out_gate_w.data + params.out_gate_b.data)
+    out_gate = T._stable_sigmoid(x @ params.out_gate_w.data + params.out_gate_b.data)
     h = out_gate * h_inner.reshape(x.shape)
     return h, MlstmState(cell, normalizer, m_new)
-
-
-def _stable_sigmoid_np(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def mlstm_sequence_serial(

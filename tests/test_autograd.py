@@ -1,5 +1,8 @@
 """Reverse-mode engine: graph lifecycle, gradient routing, finite differences."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -116,6 +119,21 @@ def test_graph_single_use():
     with Graph() as g:
         loss = T.reduce_sum(x)
     backward(loss, g)
+    with pytest.raises(GraphError, match="consumed"):
+        backward(loss, g)
+
+
+def test_backward_releases_the_tape():
+    x = _leaf([1.0, 2.0])
+    with Graph() as g:
+        h = T.mul(x, x)
+        loss = T.reduce_sum(T.mul(h, h))
+    intermediate = weakref.ref(h.data)
+    del h
+    backward(loss, g)
+    gc.collect()
+    assert intermediate() is None
+    np.testing.assert_allclose(x.grad, [4.0, 32.0])
     with pytest.raises(GraphError, match="consumed"):
         backward(loss, g)
 

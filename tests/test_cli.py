@@ -167,6 +167,11 @@ def test_runtime_errors_exit_1(workspace, tmp_path, capsys):
     assert code == 1
     assert "oops" in capsys.readouterr().err
 
+    # unknown gradcheck module: the error lists the valid ones
+    assert main(["gradcheck", "--module", "nope"]) == 1
+    err = capsys.readouterr().err
+    assert "'nope'" in err and "'tensor'" in err
+
     # missing checkpoint
     code = main(
         ["predict", "--ckpt", str(tmp_path / "nope"), "--input", "a", "--out", "b"]

@@ -213,6 +213,26 @@ def test_evaluate_case_structure():
     assert res[2]["dsc"] == pytest.approx(dice_bf(pred == 2, gt == 2))
 
 
+def test_evaluate_case_shares_one_edt_per_side(monkeypatch, rng):
+    import xlunet.metrics as metrics
+
+    pred = rng.integers(0, 3, size=(12, 10)).astype(np.int32)
+    gt = rng.integers(0, 3, size=(12, 10)).astype(np.int32)
+    calls = []
+    real_edt = metrics.ndimage.distance_transform_edt
+
+    def counted_edt(mask):
+        calls.append(mask.shape)
+        return real_edt(mask)
+
+    monkeypatch.setattr(metrics.ndimage, "distance_transform_edt", counted_edt)
+    res = evaluate_case(pred, gt, num_classes=3, tolerance=1.5)
+    assert len(calls) == 4  # two foreground classes, one EDT per side
+    for cls in (1, 2):
+        assert res[cls]["nsd"] == surface_dice(pred == cls, gt == cls, 1.5)
+        assert res[cls]["hd95"] == hausdorff95(pred == cls, gt == cls)
+
+
 def test_evaluate_case_missing_class_conventions():
     pred = np.zeros((4, 4), dtype=np.int32)
     gt = np.zeros((4, 4), dtype=np.int32)

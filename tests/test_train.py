@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import xlunet.train as train
 from xlunet.data import generate_dataset, load_case, load_dataset
 from xlunet.network import build_network
 from xlunet.tensor import ContractError, Tensor
@@ -159,6 +160,86 @@ def test_interrupted_resume_is_bit_exact(dataset, tmp_path):
         assert np.array_equal(na.params[k].data, nb.params[k].data), k
     assert ma["rng"] == mb["rng"]
     assert ma["global_step"] == mb["global_step"]
+
+
+def _assert_same_final_state(dir_a, dir_b):
+    ma = load_checkpoint(dir_a / "checkpoints" / "latest")
+    mb = load_checkpoint(dir_b / "checkpoints" / "latest")
+    na, _ = restore_network(ma)
+    nb, _ = restore_network(mb)
+    for k in na.params:
+        assert np.array_equal(na.params[k].data, nb.params[k].data), k
+    assert ma["rng"] == mb["rng"]
+    assert ma["global_step"] == mb["global_step"]
+
+
+def test_crash_mid_save_resumes_bit_exact(dataset, tmp_path, monkeypatch):
+    # the second `latest` save writes one whole file and then dies: the
+    # epoch-1 checkpoint must still resume into the uninterrupted run
+    cfg = _tiny_cfg(max_epochs=3, augment_mirror=True)
+    run_training(cfg, dataset, tmp_path / "a")
+
+    class Crash(Exception):
+        pass
+
+    saves = []
+    real_save, real_write = train.save_checkpoint, train.write_xten
+
+    def save(ckpt_dir, *args):
+        saves.append(ckpt_dir.name)
+        real_save(ckpt_dir, *args)
+
+    def write(path, array):
+        real_write(path, array)
+        if saves.count("latest") == 2 and saves[-1] == "latest":
+            raise Crash
+
+    monkeypatch.setattr(train, "save_checkpoint", save)
+    monkeypatch.setattr(train, "write_xten", write)
+    with pytest.raises(Crash):
+        run_training(cfg, dataset, tmp_path / "b")
+    monkeypatch.undo()
+    latest = tmp_path / "b" / "checkpoints" / "latest"
+    assert load_checkpoint(latest)["epochs_completed"] == 1
+    run_training(cfg, dataset, tmp_path / "b", resume_from=latest)
+    _assert_same_final_state(tmp_path / "a", tmp_path / "b")
+
+
+def test_checkpoint_is_a_manifest_and_one_state_file(dataset, tmp_path, monkeypatch):
+    listings = []
+    real_save = train.save_checkpoint
+
+    def save(ckpt_dir, *args):
+        real_save(ckpt_dir, *args)
+        listings.append(sorted(f.name for f in ckpt_dir.iterdir()))
+
+    monkeypatch.setattr(train, "save_checkpoint", save)
+    run_training(_tiny_cfg(max_epochs=3), dataset, tmp_path / "run")
+    assert len(listings) >= 3
+    for names in listings:
+        assert len(names) == 2 and names[0] == "manifest.json", names
+        assert names[1].startswith("state-") and names[1].endswith(".xten"), names
+    m = load_checkpoint(tmp_path / "run" / "checkpoints" / "latest")
+    assert m["state"] == f"state-{m['sha256'][:16]}.xten"
+
+
+def test_corrupt_state_file_is_named(dataset, tmp_path):
+    run_training(_tiny_cfg(max_epochs=1), dataset, tmp_path / "run")
+    m = load_checkpoint(tmp_path / "run" / "checkpoints" / "latest")
+    state = m["_dir"] / m["state"]
+    blob = bytearray(state.read_bytes())
+    blob[-1] ^= 0x01
+    state.write_bytes(bytes(blob))
+    with pytest.raises(ContractError, match=m["state"]):
+        restore_network(m)
+
+
+def test_v1_checkpoint_is_rejected(tmp_path):
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({"format": "xlunet-checkpoint-v1", "params": {}, "optim": {}})
+    )
+    with pytest.raises(ContractError, match="unsupported checkpoint format"):
+        load_checkpoint(tmp_path)
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
