@@ -54,12 +54,10 @@ from .vil import (
     VilBlockParams,
     XlstmBlockParams,
     init_mlstm_params,
-    init_mlstm_state,
     init_vil_params,
     init_xlstm_params,
     mlstm_sequence,
     mlstm_sequence_serial,
-    mlstm_step,
     vil_block,
     volume_to_sequence,
     sequence_to_volume,

@@ -49,19 +49,13 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    if args.resume is not None:
-        manifest = load_checkpoint(args.resume)
-        cfg = run_config_from_dict(manifest["config"])
-        if args.config is not None:
-            cfg_file = load_run_config(args.config)
-            if cfg_file != cfg:
-                raise ContractError(
-                    "--config disagrees with the checkpoint's stored config"
-                )
-    else:
-        if args.config is None:
-            raise ContractError("train: --config is required unless --resume is given")
+    # on resume, run_training checks the config against the checkpoint's
+    if args.config is not None:
         cfg = load_run_config(args.config)
+    elif args.resume is not None:
+        cfg = run_config_from_dict(load_checkpoint(args.resume)["config"])
+    else:
+        raise ContractError("train: --config is required unless --resume is given")
     result = run_training(
         cfg, args.data, args.out, resume_from=args.resume, log=print
     )

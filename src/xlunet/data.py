@@ -25,6 +25,7 @@ function of (seed, case index).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -118,17 +119,24 @@ def read_xten(path) -> np.ndarray:
     if len(blob) < dims_end:
         raise XtenTruncated(f"{path}: header promises {ndim} dims but file ends early")
     shape = struct.unpack_from(f"<{ndim}Q", blob, 8)
-    total = int(np.prod([int(d) for d in shape], dtype=object)) * dtype.itemsize
-    if total > _MAX_PAYLOAD:
-        raise XtenError(f"{path}: implausible payload size {total} bytes")
+    # a zero dim empties the payload but numpy still rejects huge other dims,
+    # so the bound counts every zero dim as 1
+    if math.prod(max(d, 1) for d in shape) * dtype.itemsize > _MAX_PAYLOAD:
+        raise XtenError(f"{path}: implausible dims {shape}")
+    count = math.prod(shape)
+    total = count * dtype.itemsize
     if len(blob) - dims_end < total:
         raise XtenTruncated(
             f"{path}: payload is {len(blob) - dims_end} bytes, header promises {total}"
         )
     if len(blob) - dims_end > total:
         raise XtenError(f"{path}: {len(blob) - dims_end - total} trailing bytes after payload")
-    arr = np.frombuffer(blob, dtype=dtype, count=int(np.prod(shape)) if ndim else 1, offset=dims_end)
-    return arr.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
+    arr = np.frombuffer(blob, dtype=dtype, count=count, offset=dims_end)
+    try:
+        arr = arr.reshape(shape)
+    except ValueError as e:  # e.g. more dims than numpy supports
+        raise XtenError(f"{path}: cannot hold {ndim} dims in an array ({e})") from e
+    return arr.astype(dtype.newbyteorder("="), copy=True)
 
 
 # ---------------------------------------------------------------------------

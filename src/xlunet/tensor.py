@@ -19,8 +19,9 @@ attention-style sequence kernel legitimately feeds ``-inf`` log-weights into
 training is guarded by named checks at three points where a NaN would
 otherwise pass silently: the network output (``Network.forward``), the loss
 (``dice_ce_loss``) and every gradient (``adamw_step``).  ``log`` and
-``sqrt`` reject non-positive inputs, and the serial reference
-``vil.mlstm_step`` checks its gates; the taped sequence kernel does not.
+``sqrt`` reject non-positive inputs, and the serial reference scan
+``vil.mlstm_sequence_serial`` checks its gates and readout at every step; the
+taped sequence kernel does not.
 """
 
 from __future__ import annotations

@@ -29,7 +29,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -163,35 +165,21 @@ class RunConfig:
         return d
 
 
+def _json_types(hint) -> tuple[type, ...]:
+    """The JSON value types a ``RunConfig`` field takes: its own type, a list
+    for a tuple, an int for a float, and null for an ``X | None`` field."""
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    out: list[type] = []
+    for t in typing.get_args(hint) if union else (hint,):
+        t = typing.get_origin(t) or t
+        out += {tuple: [list, tuple], float: [int, float]}.get(t, [t])
+    return tuple(out)
+
+
 _FIELD_TYPES = {
-    "patch_size": (list, tuple),
-    "num_classes": int,
-    "in_channels": int,
-    "variant": str,
-    "num_stages": int,
-    "base_channels": int,
-    "channel_cap": int,
-    "heads": int,
-    "expansion": int,
-    "conv_width": int,
-    "batch_size": int,
-    "max_epochs": int,
-    "steps_per_epoch": int,
-    "learning_rate": (int, float),
-    "schedule": str,
-    "weight_decay": (int, float),
-    "beta1": (int, float),
-    "beta2": (int, float),
-    "adam_eps": (int, float),
-    "force_foreground_prob": (int, float),
-    "augment_mirror": bool,
-    "include_background_dice": bool,
-    "class_weights": (list, tuple, type(None)),
-    "early_stop_dice": (int, float, type(None)),
-    "early_stop_interval": int,
-    "seed": int,
+    name: _json_types(hint) for name, hint in typing.get_type_hints(RunConfig).items()
 }
-_REQUIRED_FIELDS = ("patch_size", "num_classes")
+_REQUIRED_FIELDS = tuple(f.name for f in fields(RunConfig) if f.default is MISSING)
 
 
 def run_config_from_dict(raw: dict) -> RunConfig:
@@ -205,11 +193,11 @@ def run_config_from_dict(raw: dict) -> RunConfig:
         raise ContractError(f"run config: missing required keys {missing}")
     for key, value in raw.items():
         expected = _FIELD_TYPES[key]
-        if isinstance(value, bool) and expected is int:
-            raise ContractError(f"run config: field {key!r} must be an integer, got a bool")
-        if not isinstance(value, expected):
+        # bool is an int subclass; only a bool field takes one
+        if not isinstance(value, expected) or (isinstance(value, bool) and bool not in expected):
+            names = " or ".join(t.__name__ for t in expected)
             raise ContractError(
-                f"run config: field {key!r} has type {type(value).__name__}, expected {expected}"
+                f"run config: field {key!r} has type {type(value).__name__}, expected {names}"
             )
     cfg = RunConfig(**raw)
     cfg.validate()

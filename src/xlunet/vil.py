@@ -12,15 +12,16 @@ by 1/sqrt(head_dim)), v and gate pre-activations i, f:
     h~  = (C' q) / max(|n' . q|, 1)
     h   = sigmoid(out_gate) * h~
 
-``mlstm_step`` implements exactly that (plain numpy, serial).  The taped op
-``mlstm_sequence`` evaluates the algebraically identical quadratic form in
-one shot: with F_t the cumulative sum of f and A[t, j] = F_t - F_j + i_j for
-j <= t (else -inf), the scan's running max m_t equals the row max of A, the
-stabilized weights are exp(A[t, j] - m_t) * (q_t . k_j), and the same
-readout/normalizer follow from row sums.  This keeps the op a handful of
-vectorized tape nodes instead of O(L) python steps, and its backward comes
-entirely from the primitive ops' verified VJPs.  Equality of the two paths is
-pinned by tests at 1e-6 in float64.
+``mlstm_sequence_serial`` scans exactly that over a sequence (plain numpy, one
+python step per position).  The taped op ``mlstm_sequence`` evaluates the
+algebraically identical quadratic form in one shot: with F_t the cumulative
+sum of f and A[t, j] = F_t - F_j + i_j for j <= t (else -inf), the scan's
+running max m_t equals the row max of A, the stabilized weights are
+exp(A[t, j] - m_t) * (q_t . k_j), and the same readout/normalizer follow from
+row sums.  This keeps the op a handful of vectorized tape nodes instead of
+O(L) python steps, and its backward comes entirely from the primitive ops'
+verified VJPs.  Equality of the two paths is pinned by tests at 1e-6 in
+float64.
 
 Direction handling: processing a sequence in reverse is defined as flip,
 forward pass, flip — bitwise identical to running the scan from the last
@@ -40,12 +41,9 @@ from .tensor import ContractError, NumericsError, Tensor
 
 __all__ = [
     "MlstmParams",
-    "MlstmState",
     "VilBlockParams",
     "XlstmBlockParams",
     "SequenceView",
-    "init_mlstm_state",
-    "mlstm_step",
     "mlstm_sequence",
     "mlstm_sequence_serial",
     "vil_block",
@@ -100,18 +98,6 @@ class MlstmParams:
     @property
     def embed_dim(self) -> int:
         return self.query_proj.shape[0]
-
-
-@dataclass
-class MlstmState:
-    """Per-head recurrent state: outer-product memory, normalizer, log-scale."""
-
-    cell: np.ndarray  # (B, H, d, d)
-    normalizer: np.ndarray  # (B, H, d)
-    log_scale: np.ndarray  # (B, H), starts at -inf
-
-    def copy(self) -> "MlstmState":
-        return MlstmState(self.cell.copy(), self.normalizer.copy(), self.log_scale.copy())
 
 
 @dataclass
@@ -234,79 +220,71 @@ def init_xlstm_params(
 # serial recurrence (plain numpy)
 
 
-def init_mlstm_state(batch: int, heads: int, head_dim: int, dtype=np.float32) -> MlstmState:
-    return MlstmState(
-        cell=np.zeros((batch, heads, head_dim, head_dim), dtype=dtype),
-        normalizer=np.zeros((batch, heads, head_dim), dtype=dtype),
-        log_scale=np.full((batch, heads), -np.inf, dtype=dtype),
-    )
-
-
-def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    b, e = x.shape
-    return x.reshape(b, heads, e // heads)
-
-
-def mlstm_step(x: np.ndarray, params: MlstmParams, state: MlstmState):
-    """One recurrence step on a (B, E) slice; returns (h, new_state).
-
-    Serial reference path (not taped).  Raises NumericsError, naming the
-    offending gate, if an activation leaves the finite range — e.g. an
-    input gate forced to -inf on the very first step, where the running
-    log-scale is still -inf.
-    """
-    if x.ndim != 2 or x.shape[1] != params.embed_dim:
-        raise ContractError(f"mlstm_step: expected (B, {params.embed_dim}), got {x.shape}")
-    heads = params.heads
-    head_dim = params.embed_dim // heads
-    scale = 1.0 / np.sqrt(head_dim)
-
-    q = _split_heads(x @ params.query_proj.data, heads)  # (B, H, d)
-    k = _split_heads(x @ params.key_proj.data, heads) * scale
-    v = _split_heads(x @ params.value_proj.data, heads)
-    i_pre = x @ params.input_gate_w.data + params.input_gate_b.data  # (B, H)
-    f_pre = x @ params.forget_gate_w.data + params.forget_gate_b.data
-
-    m_new = np.maximum(f_pre + state.log_scale, i_pre)
-    i_act = np.exp(i_pre - m_new)
-    f_act = np.exp(f_pre + state.log_scale - m_new)
-    if not np.all(np.isfinite(i_act)):
-        raise NumericsError("mlstm_step: input gate activation is non-finite")
-    if not np.all(np.isfinite(f_act)):
-        raise NumericsError("mlstm_step: forget gate activation is non-finite")
-
-    cell = (
-        f_act[..., None, None] * state.cell
-        + i_act[..., None, None] * v[..., :, None] * k[..., None, :]
-    )
-    normalizer = f_act[..., None] * state.normalizer + i_act[..., None] * k
-
-    weight = np.einsum("bhij,bhj->bhi", cell, q)  # C' q
-    denom = np.maximum(np.abs(np.einsum("bhj,bhj->bh", normalizer, q)), 1.0)
-    h_inner = weight / denom[..., None]  # (B, H, d)
-    if not np.all(np.isfinite(h_inner)):
-        raise NumericsError("mlstm_step: memory readout is non-finite")
-
-    out_gate = T._stable_sigmoid(x @ params.out_gate_w.data + params.out_gate_b.data)
-    h = out_gate * h_inner.reshape(x.shape)
-    return h, MlstmState(cell, normalizer, m_new)
-
-
 def mlstm_sequence_serial(
     seq: np.ndarray, params: MlstmParams, direction: str = "forward"
 ) -> np.ndarray:
-    """Step-by-step scan over (B, L, E); the slow twin of ``mlstm_sequence``."""
+    """Step-by-step scan over (B, L, E); the slow twin of ``mlstm_sequence``.
+
+    Plain numpy, not taped.  The projections and gates are computed once for
+    the whole sequence; the loop carries only the per-head state (C, n, m).
+    Raises NumericsError, naming the offending gate and the step, if an
+    activation leaves the finite range, e.g. an input gate forced to -inf on
+    the very first step, where the running log-scale is still -inf.
+    """
     if direction not in _DIRECTIONS:
         raise ContractError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
     if seq.ndim != 3:
         raise ContractError(f"mlstm_sequence_serial: expected (B, L, E), got {seq.shape}")
+    if seq.shape[2] != params.embed_dim:
+        raise ContractError(
+            f"mlstm_sequence_serial: embed dim {seq.shape[2]} != params dim {params.embed_dim}"
+        )
     work = np.flip(seq, axis=1) if direction == "reverse" else seq
-    b, length, _ = work.shape
-    state = init_mlstm_state(b, params.heads, params.embed_dim // params.heads, work.dtype)
-    outs = np.empty_like(work)
+    b, length, embed = work.shape
+    heads = params.heads
+    head_dim = embed // heads
+    scale = 1.0 / np.sqrt(head_dim)
+
+    def heads_last(w: Tensor) -> np.ndarray:  # (B, L, E) @ (E, E) -> (B, L, H, d)
+        return (work @ w.data).reshape(b, length, heads, head_dim)
+
+    q = heads_last(params.query_proj)
+    k = heads_last(params.key_proj) * scale
+    v = heads_last(params.value_proj)
+    i_pre = work @ params.input_gate_w.data + params.input_gate_b.data  # (B, L, H)
+    f_pre = work @ params.forget_gate_w.data + params.forget_gate_b.data
+    out_gate = T._stable_sigmoid(work @ params.out_gate_w.data + params.out_gate_b.data)
+
+    cell = np.zeros((b, heads, head_dim, head_dim), dtype=work.dtype)
+    normalizer = np.zeros((b, heads, head_dim), dtype=work.dtype)
+    log_scale = np.full((b, heads), -np.inf, dtype=work.dtype)
+    inner = np.empty(q.shape, dtype=np.result_type(q, k, v))
+
+    def check_finite(x: np.ndarray, what: str, t: int) -> None:
+        if not np.all(np.isfinite(x)):
+            raise NumericsError(f"mlstm_sequence_serial: {what} is non-finite at step {t}")
+
     for t in range(length):
-        outs[:, t], state = mlstm_step(work[:, t], params, state)
-    return np.flip(outs, axis=1) if direction == "reverse" else outs
+        m_new = np.maximum(f_pre[:, t] + log_scale, i_pre[:, t])
+        i_act = np.exp(i_pre[:, t] - m_new)
+        f_act = np.exp(f_pre[:, t] + log_scale - m_new)
+        check_finite(i_act, "input gate activation", t)
+        check_finite(f_act, "forget gate activation", t)
+        q_t, k_t, v_t = q[:, t], k[:, t], v[:, t]  # (B, H, d)
+        cell = (
+            f_act[..., None, None] * cell
+            + i_act[..., None, None] * v_t[..., :, None] * k_t[..., None, :]
+        )
+        normalizer = f_act[..., None] * normalizer + i_act[..., None] * k_t
+        log_scale = m_new
+
+        weight = np.einsum("bhij,bhj->bhi", cell, q_t)  # C' q
+        denom = np.maximum(np.abs(np.einsum("bhj,bhj->bh", normalizer, q_t)), 1.0)
+        inner[:, t] = weight / denom[..., None]
+        check_finite(inner[:, t], "memory readout", t)
+
+    out = (out_gate * inner.reshape(b, length, embed)).astype(work.dtype, copy=False)
+    return np.flip(out, axis=1) if direction == "reverse" else out
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +318,8 @@ def mlstm_sequence(seq: Tensor, params: MlstmParams, direction: str = "forward")
     """Run the recurrence over a whole (B, L, E) sequence as one taped op.
 
     Evaluates the stabilized quadratic form (see module docstring); output is
-    elementwise equal to scanning ``mlstm_step`` over the sequence, up to
-    floating-point associativity in the cumulative log-forget sums.
+    elementwise equal to ``mlstm_sequence_serial``, up to floating-point
+    associativity in the cumulative log-forget sums.
     """
     if direction not in _DIRECTIONS:
         raise ContractError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")

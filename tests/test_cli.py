@@ -140,6 +140,24 @@ def test_resume_via_cli(workspace, tmp_path):
     assert code == 0  # run already finished; resume is a no-op
 
 
+def test_resume_with_a_different_config_fails(workspace, tmp_path, capsys):
+    cfg = json.loads((workspace / "run.json").read_text())
+    cfg["seed"] += 1
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(cfg))
+    code = main(
+        [
+            "train",
+            "--config", str(other),
+            "--data", str(workspace / "data"),
+            "--out", str(tmp_path / "resumed"),
+            "--resume", str(workspace / "run" / "checkpoints" / "latest"),
+        ]
+    )
+    assert code == 1
+    assert "config" in capsys.readouterr().err
+
+
 def test_gradcheck_subcommand_ok():
     assert main(["gradcheck", "--module", "tensor"]) == 0
 

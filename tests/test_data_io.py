@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -135,6 +135,38 @@ def test_roundtrip_property(tmp_path_factory, x):
     p = tmp_path_factory.mktemp("xten") / "p.xten"
     write_xten(p, x)
     assert read_xten(p).tobytes() == x.tobytes()
+
+
+def _xten_blob(code, dims, payload=b""):
+    header = struct.pack("<4sBBBB", b"XTEN", 1, code, len(dims), 0)
+    return header + struct.pack(f"<{len(dims)}Q", *dims) + payload
+
+
+_xten_headers = st.builds(
+    _xten_blob,
+    st.integers(0, 3),  # 3 is not a dtype code
+    st.lists(
+        st.one_of(st.integers(0, 4), st.integers(0, 2**64 - 1)),
+        min_size=1,
+        max_size=70,  # past numpy's limit on ndim
+    ),
+    st.binary(max_size=64),
+)
+
+
+@example(_xten_blob(0, (0, 2**62)))
+@example(_xten_blob(0, (2**63, 0)))
+@example(_xten_blob(2, (1,) * 65, b"\x00"))
+@given(st.one_of(st.binary(max_size=96), _xten_headers))
+@settings(max_examples=300, deadline=None)
+def test_read_xten_raises_only_xten_errors(tmp_path_factory, blob):
+    p = tmp_path_factory.getbasetemp() / "fuzz.xten"
+    p.write_bytes(blob)
+    try:
+        arr = read_xten(p)
+    except XtenError:
+        return
+    assert blob.endswith(arr.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,33 @@ def test_wrong_types_named():
             {"patch_size": [32, 32], "num_classes": 2, "batch_size": True}
         )
 
+    def cfg(**extra):
+        return run_config_from_dict({"patch_size": [32, 32], "num_classes": 2, **extra})
+
+    # one accepted and one rejected value per rule of the derived type table
+    accepted = [
+        {"class_weights": [1.0, 2.0]},  # a tuple field takes a list
+        {"learning_rate": 1},  # a float field takes an int
+        {"early_stop_dice": None},  # an X | None field takes null
+        {"batch_size": 2},  # an int field takes an int
+    ]
+    for extra in accepted:
+        got = cfg(**extra)
+        key, value = next(iter(extra.items()))
+        assert got.to_dict()[key] == value
+    assert cfg(class_weights=[1.0, 2.0]).class_weights == (1.0, 2.0)
+    rejected = [
+        {"class_weights": "1,2"},
+        {"learning_rate": "0.1"},
+        {"learning_rate": True},  # bool is an int subclass, but not a number here
+        {"early_stop_interval": None},  # not an X | None field
+        {"batch_size": False},
+    ]
+    for extra in rejected:
+        key = next(iter(extra))
+        with pytest.raises(ContractError, match=key):
+            cfg(**extra)
+
 
 def test_invalid_values_rejected():
     with pytest.raises(ContractError):

@@ -6,15 +6,12 @@ import pytest
 import xlunet.tensor as T
 from xlunet.tensor import ContractError, NumericsError, Tensor
 from xlunet.vil import (
-    MlstmState,
     SequenceView,
     init_mlstm_params,
-    init_mlstm_state,
     init_vil_params,
     init_xlstm_params,
     mlstm_sequence,
     mlstm_sequence_serial,
-    mlstm_step,
     sequence_to_volume,
     vil_block,
     volume_to_sequence,
@@ -29,45 +26,53 @@ def _params(rng, e=8, h=2, dtype=np.float64):
 
 
 # ---------------------------------------------------------------------------
-# single-step semantics
+# first-step semantics
 
 
 def test_first_step_reduces_to_closed_form(rng):
     # With C=0, n=0, m=-inf the first step gives
     #   h = o * (C1 q) / max(|n1 . q|, 1),  C1 = v k^T,  n1 = k
-    # (the i-gate's exp cancels between numerator and... it does not cancel:
-    # C1 = i * v k^T and n1 = i * k with i = exp(itil - itil) = 1 exactly)
+    # (C1 = i * v k^T and n1 = i * k with i = exp(itil - itil) = 1 exactly).
+    # An L=1 sequence is exactly that first step, on both paths.
     p = _params(rng)
-    x = rng.normal(size=(3, 8))
-    h, state = mlstm_step(x, p, init_mlstm_state(3, 2, 4, dtype=np.float64))
+    seq = rng.normal(size=(3, 1, 8))
+    serial = mlstm_sequence_serial(seq, p, direction="forward")
+    par = mlstm_sequence(Tensor(seq), p, direction="forward").data
     d = 4
     for b in range(3):
+        x = seq[b, 0]
         for head in range(2):
             sl = slice(head * d, (head + 1) * d)
-            q = x[b] @ p.query_proj.data[:, sl]
-            k = (x[b] @ p.key_proj.data[:, sl]) / np.sqrt(d)
-            v = x[b] @ p.value_proj.data[:, sl]
-            o = 1 / (1 + np.exp(-(x[b] @ p.out_gate_w.data[:, sl] + p.out_gate_b.data[sl])))
+            q = x @ p.query_proj.data[:, sl]
+            k = (x @ p.key_proj.data[:, sl]) / np.sqrt(d)
+            v = x @ p.value_proj.data[:, sl]
+            o = 1 / (1 + np.exp(-(x @ p.out_gate_w.data[:, sl] + p.out_gate_b.data[sl])))
             c1 = np.outer(v, k)
             want = o * (c1 @ q) / max(abs(float(k @ q)), 1.0)
-            np.testing.assert_allclose(h[b, sl], want, rtol=1e-10)
-    # i-gate weight after the first step is exactly 1: C = v k^T exactly
-    np.testing.assert_allclose(state.log_scale.shape, (3, 2))
+            np.testing.assert_allclose(serial[b, 0, sl], want, rtol=1e-10)
+            np.testing.assert_allclose(par[b, 0, sl], want, rtol=1e-10)
 
 
 def test_step_rejects_bad_shapes(rng):
     p = _params(rng)
-    state = init_mlstm_state(2, 2, 4, dtype=np.float64)
+    with pytest.raises(ContractError, match="embed dim 7"):
+        mlstm_sequence_serial(rng.normal(size=(2, 3, 7)), p)
     with pytest.raises(ContractError):
-        mlstm_step(rng.normal(size=(2, 7)), p, state)
+        mlstm_sequence_serial(rng.normal(size=(2, 8)), p)
 
 
 def test_step_flags_nonfinite_input(rng):
     p = _params(rng)
-    state = init_mlstm_state(1, 2, 4, dtype=np.float64)
-    x = np.full((1, 8), np.nan)
-    with pytest.raises(NumericsError):
-        mlstm_step(x, p, state)
+    seq = np.full((1, 3, 8), np.nan)
+    with pytest.raises(NumericsError, match="gate activation is non-finite at step 0"):
+        mlstm_sequence_serial(seq, p)
+    # the step is counted in scan order: position 5 of 8 is step 2 in reverse
+    seq = rng.normal(size=(1, 8, 8))
+    seq[0, 5, 0] = np.nan
+    with pytest.raises(NumericsError, match="input gate activation is non-finite at step 5"):
+        mlstm_sequence_serial(seq, p, direction="forward")
+    with pytest.raises(NumericsError, match="input gate activation is non-finite at step 2"):
+        mlstm_sequence_serial(seq, p, direction="reverse")
 
 
 # ---------------------------------------------------------------------------
