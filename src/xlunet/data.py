@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -98,45 +100,50 @@ def write_xten(path, array: np.ndarray) -> None:
 
 
 def read_xten(path) -> np.ndarray:
-    """Read an XTEN file back as a native-endian array (always a fresh copy)."""
+    """Read an XTEN file back as a native-endian array (always a fresh copy).
+
+    The payload is read straight into the array it is returned in."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 8:
-        raise XtenTruncated(f"{path}: file too short for a header ({len(blob)} bytes)")
-    magic, version, code, ndim, reserved = struct.unpack_from("<4sBBBB", blob, 0)
-    if magic != _MAGIC:
-        raise XtenBadMagic(f"{path}: bad magic {magic!r}")
-    if version != _VERSION:
-        raise XtenBadVersion(f"{path}: unsupported version {version}")
-    dtype = _CODE_TO_DTYPE.get(code)
-    if dtype is None:
-        raise XtenBadDtype(f"{path}: unknown dtype code {code}")
-    if reserved != 0:
-        raise XtenError(f"{path}: reserved header byte is {reserved}, expected 0")
-    if ndim < 1:
-        raise XtenError(f"{path}: ndim must be >= 1")
-    dims_end = 8 + 8 * ndim
-    if len(blob) < dims_end:
-        raise XtenTruncated(f"{path}: header promises {ndim} dims but file ends early")
-    shape = struct.unpack_from(f"<{ndim}Q", blob, 8)
-    # a zero dim empties the payload but numpy still rejects huge other dims,
-    # so the bound counts every zero dim as 1
-    if math.prod(max(d, 1) for d in shape) * dtype.itemsize > _MAX_PAYLOAD:
-        raise XtenError(f"{path}: implausible dims {shape}")
-    count = math.prod(shape)
-    total = count * dtype.itemsize
-    if len(blob) - dims_end < total:
-        raise XtenTruncated(
-            f"{path}: payload is {len(blob) - dims_end} bytes, header promises {total}"
-        )
-    if len(blob) - dims_end > total:
-        raise XtenError(f"{path}: {len(blob) - dims_end - total} trailing bytes after payload")
-    arr = np.frombuffer(blob, dtype=dtype, count=count, offset=dims_end)
-    try:
-        arr = arr.reshape(shape)
-    except ValueError as e:  # e.g. more dims than numpy supports
-        raise XtenError(f"{path}: cannot hold {ndim} dims in an array ({e})") from e
-    return arr.astype(dtype.newbyteorder("="), copy=True)
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(8)
+        if len(head) < 8:
+            raise XtenTruncated(f"{path}: file too short for a header ({len(head)} bytes)")
+        magic, version, code, ndim, reserved = struct.unpack("<4sBBBB", head)
+        if magic != _MAGIC:
+            raise XtenBadMagic(f"{path}: bad magic {magic!r}")
+        if version != _VERSION:
+            raise XtenBadVersion(f"{path}: unsupported version {version}")
+        dtype = _CODE_TO_DTYPE.get(code)
+        if dtype is None:
+            raise XtenBadDtype(f"{path}: unknown dtype code {code}")
+        if reserved != 0:
+            raise XtenError(f"{path}: reserved header byte is {reserved}, expected 0")
+        if ndim < 1:
+            raise XtenError(f"{path}: ndim must be >= 1")
+        dims = f.read(8 * ndim)
+        if len(dims) < 8 * ndim:
+            raise XtenTruncated(f"{path}: header promises {ndim} dims but file ends early")
+        shape = struct.unpack(f"<{ndim}Q", dims)
+        # a zero dim empties the payload but numpy still rejects huge other dims,
+        # so the bound counts every zero dim as 1
+        if math.prod(max(d, 1) for d in shape) * dtype.itemsize > _MAX_PAYLOAD:
+            raise XtenError(f"{path}: implausible dims {shape}")
+        total = math.prod(shape) * dtype.itemsize
+        payload = size - 8 - 8 * ndim
+        if payload < total:
+            raise XtenTruncated(f"{path}: payload is {payload} bytes, header promises {total}")
+        if payload > total:
+            raise XtenError(f"{path}: {payload - total} trailing bytes after payload")
+        try:
+            arr = np.empty(shape, dtype)
+        except ValueError as e:  # e.g. more dims than numpy supports
+            raise XtenError(f"{path}: cannot hold {ndim} dims in an array ({e})") from e
+        got = f.readinto(arr.reshape(-1).view(np.uint8))
+        if got != total:
+            raise XtenTruncated(f"{path}: payload is {got} bytes, header promises {total}")
+    if sys.byteorder == "big":
+        arr = arr.byteswap().view(dtype.newbyteorder("="))
+    return arr
 
 
 # ---------------------------------------------------------------------------

@@ -5,34 +5,47 @@ These are single tape nodes with hand-written backwards (the closed forms are
 cheaper and numerically tighter than composing primitives); every one of them
 is covered by the finite-difference registry in gradcheck.py.
 
-Convolutions run as im2col + GEMM.  The transposed convolution is the exact
-adjoint of ``conv_nd`` under the same (stride, padding) geometry — both
-directions share the same two index maps (``_im2col``/``_col2im``), so
-<conv(x, w), y> == <x, conv_transpose(y, w)> holds to rounding error, with
-the *same* weight array: conv weights are (out_ch, in_ch, *k), transposed
-conv weights are (in_ch, out_ch, *k).
+Convolutions are GEMMs over patch matrices, but no full patch matrix is ever
+built.  ``_slabs`` takes a strided (B, C, *k, *out) view of the zero-padded
+input and copies the patches of a few output rows (along the first spatial
+axis) at a time into one reused buffer, so the GEMM reads each slab back from
+cache instead of streaming a matrix 27x the input from memory.  A slab holds
+at most ``_SLAB_BYTES`` = 512 KiB (at least one row): with the GEMM's
+operands and output beside it, it stays inside a 2 MiB per-core L2.  The
+transposed convolution is the exact adjoint of ``conv_nd`` under the same
+(stride, padding) geometry, so <conv(x, w), y> == <x, conv_transpose(y, w)>
+holds to rounding error, with the *same* weight array: conv weights are
+(out_ch, in_ch, *k), transposed conv weights are (in_ch, out_ch, *k).
 
-Backward routes.  Both weight cotangents are one batched BLAS matmul summed
-over the batch.  The input cotangent of ``conv_nd`` depends on its geometry:
+Routes, by geometry:
 
-* stride 1 and padding <= k-1 on every axis (every 3x3/pad-1 and 1x1/pad-0
-  conv in the network): output p reads input q = p + off - padding through
-  tap off, so input q gathers g[q - (k-1-padding) + off'] through tap
-  off = k-1-off'.  That is a correlation of g, padded by k-1-padding, with
-  the kernel flipped on every spatial axis and its in/out axes swapped:
-  ``_im2col`` of g and one (Cin, Cout*K) @ (Cout*K, P) GEMM, whose inner
-  dimension is Cout*K rather than Cout, and no scatter-add;
-* otherwise (strided, or padding > k-1, where the padded g would need a
-  negative pad): ``w.T @ g`` back onto patches, then ``_col2im``.
-
-The input cotangent of ``conv_transpose_nd`` is always ``_im2col`` of g and
-a GEMM, the forward of ``conv_nd``.
+* ``conv_nd`` forward: ``y[:, :, slab] = W @ patches(slab)``.  Its weight
+  cotangent re-slabs the padded input kept by the forward and accumulates
+  ``g[:, :, slab] @ patches(slab).T``.
+* ``conv_nd`` input cotangent at stride 1 and padding <= k-1 on every axis
+  (every 3x3/pad-1 and 1x1/pad-0 conv in the network): output p reads input
+  q = p + off - padding through tap off, so input q gathers
+  g[q - (k-1-padding) + off'] through tap off = k-1-off'.  That is a
+  correlation of g, padded by k-1-padding, with the kernel flipped on every
+  spatial axis and its in/out axes swapped: the same slab loop as the
+  forward, with inner dimension Cout*K, and no scatter-add.  Otherwise
+  (strided, or padding > k-1, where the padded g would need a negative
+  pad): ``w.T @ g`` back onto patches, then the ``_col2im`` scatter-add.
+  The input cotangent is skipped (``None``) when x does not require grad.
+* ``conv_transpose_nd`` forward with kernel == stride and padding 0 (every
+  2x up-convolution): the windows do not overlap, so it is one GEMM and a
+  depth-to-space transpose (the sub-pixel identity, Shi et al. 2016).  Any
+  other geometry: GEMM onto patches, then ``_col2im``.
+* ``conv_transpose_nd`` backward: both cotangents come from the slabs of g,
+  the forward of ``conv_nd``.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from . import tensor as _tensor
 from .tensor import ContractError, Tensor, record
@@ -46,6 +59,11 @@ __all__ = [
     "softmax",
 ]
 
+# Patch bytes per slab: a slab, the weights and the GEMM's output slab must
+# fit together in one core's L2 (2 MiB on the x86-64 CPU this was tuned on),
+# or the GEMM streams the slab back from memory and the copy buys nothing.
+_SLAB_BYTES = 512 * 1024
+
 
 def _per_axis(value, rank: int, name: str) -> tuple[int, ...]:
     if isinstance(value, int):
@@ -58,22 +76,68 @@ def _per_axis(value, rank: int, name: str) -> tuple[int, ...]:
     return value
 
 
-def _im2col(arr: np.ndarray, k, stride, padding, out_sp) -> np.ndarray:
-    """(B, C, *sp) -> (B, C*prod(k), prod(out_sp)) patch matrix."""
+def _pad(arr: np.ndarray, padding) -> np.ndarray:
+    """Zero-pad the spatial axes of (B, C, *sp) by ``padding`` on each side."""
+    if not any(padding):
+        return arr
+    sp = arr.shape[2:]
+    out = np.zeros(arr.shape[:2] + tuple(n + 2 * p for n, p in zip(sp, padding)), arr.dtype)
+    out[(slice(None), slice(None)) + tuple(slice(p, p + n) for p, n in zip(padding, sp))] = arr
+    return out
+
+
+def _slabs(xp: np.ndarray, k, stride, out_sp):
+    """Yield ``(cols_slice, cols)`` slab by slab along the first output axis:
+    ``cols`` is the (B, C*prod(k), n) patch matrix of the padded input ``xp``
+    at the n flattened output positions ``cols_slice``.  Every slab lives in
+    one reused buffer: use it before asking for the next."""
     rank = len(k)
-    b, c = arr.shape[:2]
-    xp = np.pad(arr, [(0, 0), (0, 0)] + [(p, p) for p in padding])
-    win = sliding_window_view(xp, k, axis=tuple(range(2, 2 + rank)))
-    sub = (slice(None), slice(None)) + tuple(slice(None, None, s) for s in stride)
-    win = win[sub]  # (B, C, *out_sp, *k)
-    perm = (0, 1) + tuple(2 + rank + d for d in range(rank)) + tuple(2 + d for d in range(rank))
-    k_total = int(np.prod(k))
-    p_total = int(np.prod(out_sp))
-    return win.transpose(perm).reshape(b, c * k_total, p_total)
+    b, c = xp.shape[:2]
+    sb, sc, *ssp = xp.strides
+    view = as_strided(
+        xp,
+        (b, c) + tuple(k) + tuple(out_sp),
+        (sb, sc) + tuple(ssp) + tuple(s * st for s, st in zip(ssp, stride)),
+        writeable=False,
+    )
+    rest = math.prod(out_sp[1:])
+    ck = c * math.prod(k)
+    rows = min(out_sp[0], max(1, _SLAB_BYTES // (b * ck * rest * xp.itemsize)))
+    buf = np.empty(b * ck * rows * rest, xp.dtype)
+    lead = (slice(None),) * (2 + rank)
+    for r0 in range(0, out_sp[0], rows):
+        r1 = min(r0 + rows, out_sp[0])
+        patches = view[lead + (slice(r0, r1),)]
+        cols = buf[: patches.size].reshape(patches.shape)
+        np.copyto(cols, patches)
+        yield slice(r0 * rest, r1 * rest), cols.reshape(b, ck, -1)
+
+
+def _patch_gemm(xp, k, stride, out_sp, lhs=None, g=None):
+    """GEMMs against the patches of ``xp``, one slab at a time.
+
+    Returns ``(y, gw)``: ``y = lhs @ patches`` as (B, M, *out_sp) when
+    ``lhs`` (M, C*K) is given, and ``gw = sum_b g_b @ patches_b.T`` as
+    (N, C*K) when ``g`` (B, N, *out_sp) is given; the other is ``None``.
+    """
+    b = xp.shape[0]
+    p = math.prod(out_sp)
+    y = None if lhs is None else np.empty((b, lhs.shape[0], p), xp.dtype)
+    gw = None if g is None else np.zeros((g.shape[1], xp.shape[1] * math.prod(k)), xp.dtype)
+    g2 = None if g is None else g.reshape(b, g.shape[1], p)
+    for sl, cols in _slabs(xp, k, stride, out_sp):
+        if y is not None:
+            np.matmul(lhs, cols, out=y[:, :, sl])
+        if gw is not None:
+            gw += np.matmul(g2[:, :, sl], cols.transpose(0, 2, 1)).sum(axis=0)
+    if y is not None:
+        y = y.reshape((b, lhs.shape[0]) + tuple(out_sp))
+    return y, gw
 
 
 def _col2im(cols: np.ndarray, c: int, sp, k, stride, padding, grid_sp) -> np.ndarray:
-    """Adjoint of ``_im2col``: scatter-add patches back onto a (B, C, *sp) canvas."""
+    """Adjoint of patch extraction: scatter-add (B, C*prod(k), prod(grid_sp))
+    patches back onto a (B, C, *sp) canvas."""
     rank = len(k)
     b = cols.shape[0]
     padded = tuple(n + 2 * p for n, p in zip(sp, padding))
@@ -130,31 +194,33 @@ def conv_nd(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1, padding=
             f"conv_nd: kernel {k} does not fit input {sp} with padding {padding}"
         )
 
-    cols = _im2col(x.data, k, stride, padding, out_sp)  # (B, Cin*K, P)
+    xp = _pad(x.data, padding)
     w2 = w.data.reshape(cout, -1)
-    y2 = np.matmul(w2, cols)  # (B, Cout, P)
+    y, _ = _patch_gemm(xp, k, stride, out_sp, lhs=w2)  # (B, Cout, *out)
     if bias is not None:
-        y2 = y2 + bias.data[:, None]
-    out = Tensor(y2.reshape((b, cout) + out_sp))
+        y += bias.data.reshape((1, cout) + (1,) * rank)
+    out = Tensor(y)
 
     def vjp(g):
-        g2 = g.reshape(b, cout, -1)
-        gw = np.matmul(cols, g2.transpose(0, 2, 1)).sum(axis=0).T.reshape(w.shape)
+        _, gw = _patch_gemm(xp, k, stride, out_sp, g=g)
+        gw = gw.reshape(w.shape)
         if _tensor._BACKWARD_FAULT[0] != 0.0:
             gw = gw * (1.0 + _tensor._BACKWARD_FAULT[0])
-        # at stride 1 with padding <= k-1: correlate the padded g with the
-        # flipped kernel (see the module docstring)
-        back_pad = tuple(kk - 1 - p for kk, p in zip(k, padding))
-        if all(s == 1 for s in stride) and min(back_pad) >= 0:
-            flip = (slice(None), slice(None)) + (slice(None, None, -1),) * rank
-            w_flip = w2.reshape(w.shape).swapaxes(0, 1)[flip].reshape(cin, -1)
-            gcols = _im2col(g, k, stride, back_pad, sp)  # (B, Cout*K, P_in)
-            gx = np.matmul(w_flip, gcols).reshape(x.shape)
-        else:
-            gx = _col2im(np.matmul(w2.T, g2), cin, sp, k, stride, padding, out_sp)
+        gx = None
+        if x.requires_grad:
+            # at stride 1 with padding <= k-1: correlate the padded g with the
+            # flipped kernel (see the module docstring)
+            back_pad = tuple(kk - 1 - p for kk, p in zip(k, padding))
+            if all(s == 1 for s in stride) and min(back_pad) >= 0:
+                flip = (slice(None), slice(None)) + (slice(None, None, -1),) * rank
+                w_flip = w.data.swapaxes(0, 1)[flip].reshape(cin, -1)
+                gx, _ = _patch_gemm(_pad(g, back_pad), k, stride, sp, lhs=w_flip)
+            else:
+                g2 = g.reshape(b, cout, -1)
+                gx = _col2im(np.matmul(w2.T, g2), cin, sp, k, stride, padding, out_sp)
         if bias is None:
             return gx, gw
-        return gx, gw, g2.sum(axis=(0, 2))
+        return gx, gw, g.sum(axis=(0,) + tuple(range(2, 2 + rank)))
 
     inputs = (x, w) if bias is None else (x, w, bias)
     return record(out, inputs, vjp)
@@ -208,15 +274,22 @@ def conv_transpose_nd(
     x2 = x.data.reshape(b, cin, -1)  # (B, Cin, P)
     w2 = w.data.reshape(cin, -1)  # (Cin, Cout*K)
     cols = np.matmul(w2.T, x2)  # (B, Cout*K, P)
-    y = _col2im(cols, cout, out_sp, k, stride, padding, sp)
+    if k == stride and not any(padding) and out_sp == tuple(n * s for n, s in zip(sp, stride)):
+        # non-overlapping windows: depth-to-space, (B, Cout, *k, *sp) ->
+        # (B, Cout, sp0, k0, sp1, k1, ...) -> (B, Cout, *out)
+        perm = (0, 1) + tuple(a for d in range(rank) for a in (2 + rank + d, 2 + d))
+        y = cols.reshape((b, cout) + k + sp).transpose(perm).reshape((b, cout) + out_sp)
+    else:
+        y = _col2im(cols, cout, out_sp, k, stride, padding, sp)
     if bias is not None:
         y = y + bias.data.reshape((1, cout) + (1,) * rank)
     out = Tensor(y)
 
     def vjp(g):
-        gcols = _im2col(g, k, stride, padding, sp)  # (B, Cout*K, P)
-        gx = np.matmul(w2, gcols).reshape(x.shape)
-        gw = np.matmul(x2, gcols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        gx, gw = _patch_gemm(
+            _pad(g, padding), k, stride, sp, lhs=w2 if x.requires_grad else None, g=x.data
+        )
+        gw = gw.reshape(w.shape)
         if _tensor._BACKWARD_FAULT[0] != 0.0:
             gw = gw * (1.0 + _tensor._BACKWARD_FAULT[0])
         if bias is None:

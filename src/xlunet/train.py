@@ -17,8 +17,10 @@ float32 (3, N) tensor whose rows are the parameters, ``exp_avg`` and
 the payload (little-endian values, row-major).  A save writes, fsyncs and
 renames the state into place, then the manifest, and only then deletes older
 state files, so a crash mid-save leaves the previous checkpoint whole; a
-restore checks layout, shape and digest first.  ``latest/`` is written every
-epoch and ``best/`` tracks the lowest epoch-mean training loss.
+restore checks layout, shape and digest first, and a malformed manifest is a
+``ContractError`` naming the file and the key.  ``latest/`` is written every
+epoch and ``best/`` tracks the lowest epoch-mean training loss; an epoch that
+writes both builds and hashes its state once.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import sys
 import time
 import types
 import typing
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
@@ -232,6 +235,34 @@ def _replace_synced(tmp: Path, final: Path) -> None:
     os.replace(tmp, final)
 
 
+# (state, digest) of every open ``_one_state`` block, keyed by the ids of its
+# (net, opt_state), which stay alive while the block is open
+_EPOCH_STATE: dict[tuple[int, int], tuple[np.ndarray, str]] = {}
+
+
+def _checkpoint_state(net: Network, opt_state: AdamWState) -> tuple[np.ndarray, str]:
+    """The float32 (3, N) state of ``net`` and ``opt_state`` and its digest."""
+    held = _EPOCH_STATE.get((id(net), id(opt_state)))
+    if held is not None:
+        return held
+    state = np.empty((3, count_parameters(net)), dtype=np.float32)
+    for row, arrays in zip(state, ({n: p.data for n, p in net.params.items()},
+                                   opt_state.exp_avg, opt_state.exp_avg_sq)):
+        np.concatenate([arrays[name].ravel() for name in net.params], out=row)
+    return state, _state_digest(state)
+
+
+@contextmanager
+def _one_state(net: Network, opt_state: AdamWState):
+    """Build and hash the state once; every save inside the block writes it."""
+    key = (id(net), id(opt_state))
+    _EPOCH_STATE[key] = _checkpoint_state(net, opt_state)
+    try:
+        yield
+    finally:
+        del _EPOCH_STATE[key]
+
+
 def save_checkpoint(
     ckpt_dir,
     net: Network,
@@ -244,11 +275,7 @@ def save_checkpoint(
 ) -> None:
     ckpt_dir = Path(ckpt_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    state = np.empty((3, count_parameters(net)), dtype=np.float32)
-    for row, arrays in zip(state, ({n: p.data for n, p in net.params.items()},
-                                   opt_state.exp_avg, opt_state.exp_avg_sq)):
-        np.concatenate([arrays[name].ravel() for name in net.params], out=row)
-    digest = _state_digest(state)
+    state, digest = _checkpoint_state(net, opt_state)
     state_name = f"state-{digest[:16]}.xten"
     write_xten(ckpt_dir / "state.xten.tmp", state)
     _replace_synced(ckpt_dir / "state.xten.tmp", ckpt_dir / state_name)
@@ -273,17 +300,53 @@ def save_checkpoint(
             old.unlink()
 
 
+# manifest key -> the JSON types it must have; bool is excluded from int
+_MANIFEST_KEYS = {
+    "config": (dict,),
+    "epochs_completed": (int,),
+    "global_step": (int,),
+    "best_loss": (int, float),
+    "rng": (dict,),
+    "step_count": (int,),
+    "layout": (list,),
+    "state": (str,),
+    "sha256": (str,),
+}
+
+
 def load_checkpoint(ckpt_dir) -> dict:
+    """Read and check ``ckpt_dir/manifest.json``; every malformed manifest
+    is a ``ContractError`` that names the file and the key."""
     ckpt_dir = Path(ckpt_dir)
     manifest_path = ckpt_dir / "manifest.json"
     if not manifest_path.exists():
         raise ContractError(f"{ckpt_dir}: no manifest.json — not a checkpoint directory")
-    with open(manifest_path) as f:
-        manifest = json.load(f)
+    try:
+        manifest = json.loads(manifest_path.read_bytes())
+    except (ValueError, RecursionError) as e:  # bad JSON or bad UTF-8
+        raise ContractError(f"{manifest_path}: not valid JSON ({e})") from e
+    if not isinstance(manifest, dict):
+        raise ContractError(
+            f"{manifest_path}: expected a JSON object, got {type(manifest).__name__}"
+        )
     if manifest.get("format") != _CKPT_FORMAT:
         raise ContractError(
             f"{ckpt_dir}: unsupported checkpoint format {manifest.get('format')!r}"
         )
+    for key, expected in _MANIFEST_KEYS.items():
+        if key not in manifest:
+            raise ContractError(f"{manifest_path}: missing key {key!r}")
+        value = manifest[key]
+        if not isinstance(value, expected) or isinstance(value, bool):
+            names = " or ".join(t.__name__ for t in expected)
+            raise ContractError(
+                f"{manifest_path}: key {key!r} has type {type(value).__name__}, expected {names}"
+            )
+    digest = manifest["sha256"]
+    if len(digest) != 64 or any(c not in "0123456789abcdef" for c in digest):
+        raise ContractError(f"{manifest_path}: key 'sha256' is not a SHA-256 hex digest")
+    if manifest["state"] != f"state-{digest[:16]}.xten":
+        raise ContractError(f"{manifest_path}: key 'state' does not name the state file of 'sha256'")
     manifest["_dir"] = ckpt_dir
     return manifest
 
@@ -302,6 +365,8 @@ def _restore(manifest: dict) -> tuple[Network, RunConfig, AdamWState]:
     if manifest["layout"] != [[name, list(p.shape)] for name, p in net.params.items()]:
         raise ContractError("checkpoint parameters do not match the configured network")
     path = manifest["_dir"] / manifest["state"]
+    if not path.is_file():
+        raise ContractError(f"{path}: the manifest's state file is missing")
     state = read_xten(path)
     expected = (3, count_parameters(net))
     if state.dtype != np.float32 or state.shape != expected:
@@ -396,8 +461,13 @@ def run_training(
                 " (omit --config or pass the identical file)"
             )
         net, _, opt_state = _restore(manifest)
-        sampling_rng.bit_generator.state = manifest["rng"]["sampling"]
-        augment_rng.bit_generator.state = manifest["rng"]["augment"]
+        try:
+            sampling_rng.bit_generator.state = manifest["rng"]["sampling"]
+            augment_rng.bit_generator.state = manifest["rng"]["augment"]
+        except (KeyError, TypeError, ValueError) as e:
+            raise ContractError(
+                f"{resume_from}: manifest key 'rng' does not hold the generator states ({e!r})"
+            ) from e
         start_epoch = int(manifest["epochs_completed"])
         global_step = int(manifest["global_step"])
         best_loss = float(manifest["best_loss"])
@@ -459,16 +529,17 @@ def run_training(
                 "sampling": sampling_rng.bit_generator.state,
                 "augment": augment_rng.bit_generator.state,
             }
-            if epoch_loss < best_loss:
-                best_loss = epoch_loss
+            with _one_state(net, opt_state):
+                if epoch_loss < best_loss:
+                    best_loss = epoch_loss
+                    save_checkpoint(
+                        out_dir / "checkpoints" / "best",
+                        net, opt_state, cfg, epoch + 1, global_step, best_loss, rng_states,
+                    )
                 save_checkpoint(
-                    out_dir / "checkpoints" / "best",
+                    out_dir / "checkpoints" / "latest",
                     net, opt_state, cfg, epoch + 1, global_step, best_loss, rng_states,
                 )
-            save_checkpoint(
-                out_dir / "checkpoints" / "latest",
-                net, opt_state, cfg, epoch + 1, global_step, best_loss, rng_states,
-            )
             if log is not None:
                 log(f"epoch {epoch + 1}/{cfg.max_epochs}: lr={lr:.3g} loss={epoch_loss:.4f}")
             if (

@@ -210,6 +210,26 @@ def test_runtime_errors_exit_1(workspace, tmp_path, capsys):
     assert code == 1
 
 
+def test_manifest_without_config_exits_1(workspace, tmp_path, capsys):
+    src = workspace / "run" / "checkpoints" / "latest"
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    manifest = json.loads((src / "manifest.json").read_text())
+    (ckpt / manifest["state"]).write_bytes((src / manifest["state"]).read_bytes())
+    del manifest["config"]
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    code = main(
+        [
+            "predict",
+            "--ckpt", str(ckpt),
+            "--input", str(workspace / "data" / "images" / "case_000.xten"),
+            "--out", str(tmp_path / "out.xten"),
+        ]
+    )
+    assert code == 1
+    assert "'config'" in capsys.readouterr().err
+
+
 def test_train_without_config_or_resume_fails(workspace, tmp_path, capsys):
     code = main(["train", "--data", str(workspace / "data"), "--out", str(tmp_path / "y")])
     assert code == 1

@@ -277,3 +277,132 @@ def test_conv_stride1_gradients_match_finite_differences(
     res = finite_diff_check(fn, [x, w], rng=rng)
     assert res.passed, res.line()
     assert bool(col2im_calls) == uses_col2im
+
+
+# ---------------------------------------------------------------------------
+# slab routes: every patch matrix is built a few output rows at a time
+
+
+def _conv_grads(x0, w0, wt0, conv):
+    x, w = _t(x0, grad=True), _t(w0, grad=True)
+    with Graph() as g:
+        y = conv(x, w)
+        loss = T.reduce_sum(T.mul(y, _t(wt0)))
+    backward(loss, g)
+    return y.data, x.grad, w.grad
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    real = getattr(N, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(N, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (1, 0)])
+def test_conv_several_slabs_equal_one_slab(rng, monkeypatch, stride, padding):
+    x0 = rng.normal(size=(2, 3, 9, 5, 4))
+    w0 = rng.normal(size=(4, 3, 3, 3, 3))
+    out_sp = tuple((n + 2 * padding - 3) // stride + 1 for n in x0.shape[2:])
+    wt0 = rng.normal(size=(2, 4) + out_sp)
+
+    def conv(x, w):
+        return N.conv_nd(x, w, stride=stride, padding=padding)
+
+    one = _conv_grads(x0, w0, wt0, conv)
+    # two output rows of patches per slab: 9, 7 or 5 rows end in a short slab
+    row_bytes = 2 * 3 * 27 * out_sp[1] * out_sp[2] * 8
+    monkeypatch.setattr(N, "_SLAB_BYTES", 2 * row_bytes + 1)
+    slab_widths = []
+    real_slabs = N._slabs
+
+    def counted_slabs(*args):
+        slab_widths.append([])
+        for sl, cols in real_slabs(*args):
+            slab_widths[-1].append(cols.shape[2])
+            yield sl, cols
+
+    monkeypatch.setattr(N, "_slabs", counted_slabs)
+    many = _conv_grads(x0, w0, wt0, conv)
+    fwd = slab_widths[0]  # forward: 2 output rows per slab, then the short rest
+    assert len(fwd) > 2 and set(fwd[:-1]) == {2 * out_sp[1] * out_sp[2]} and fwd[-1] < fwd[0]
+    for a, b in zip(one, many):
+        np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
+    want = conv_nd_loops(x0, w0, stride=stride, padding=padding)
+    np.testing.assert_allclose(many[0], want, rtol=1e-10, atol=1e-10)
+    x, w = _t(x0, grad=True), _t(w0, grad=True)
+    res = finite_diff_check(lambda: T.reduce_sum(T.mul(conv(x, w), _t(wt0))), [x, w], rng=rng)
+    assert res.passed, res.line()
+
+
+@pytest.mark.parametrize(
+    "rank,k,stride,padding,uses_col2im",
+    [
+        (1, 2, 2, 0, False),
+        (2, 2, 2, 0, False),
+        (3, 2, 2, 0, False),  # every up-convolution of the network
+        (2, 3, 2, 1, True),
+        (3, 3, 2, 1, True),
+    ],
+)
+def test_conv_transpose_routes(rng, monkeypatch, rank, k, stride, padding, uses_col2im):
+    sp = {1: (5,), 2: (4, 3), 3: (3, 2, 3)}[rank]
+    x0 = rng.normal(size=(2, 3) + sp)
+    w0 = rng.normal(size=(3, 2) + (k,) * rank)
+    out_sp = tuple((n - 1) * stride - 2 * padding + k for n in sp)
+    wt0 = rng.normal(size=(2, 2) + out_sp)
+    col2im_calls = _counted(monkeypatch, "_col2im")
+
+    def conv(x, w):
+        return N.conv_transpose_nd(x, w, stride=stride, padding=padding)
+
+    y, _, _ = _conv_grads(x0, w0, wt0, conv)
+    assert bool(col2im_calls) == uses_col2im
+    want = conv_transpose_nd_loops(x0, w0, stride=stride, padding=padding)
+    np.testing.assert_allclose(y, want, rtol=1e-10, atol=1e-10)
+    x, w = _t(x0, grad=True), _t(w0, grad=True)
+    res = finite_diff_check(lambda: T.reduce_sum(T.mul(conv(x, w), _t(wt0))), [x, w], rng=rng)
+    assert res.passed, res.line()
+
+
+@pytest.mark.parametrize(
+    "op,stride,padding",
+    [("conv", 1, 1), ("conv", 2, 1), ("convT", 2, 0), ("convT", 2, 1)],
+)
+def test_conv_input_without_grad_gets_no_cotangent(rng, monkeypatch, op, stride, padding):
+    x0 = rng.normal(size=(2, 3, 5, 4))
+    if op == "conv":
+        w0 = rng.normal(size=(4, 3, 3, 3))
+
+        def conv(x, w):
+            return N.conv_nd(x, w, stride=stride, padding=padding)
+    else:
+        w0 = rng.normal(size=(3, 4, 2 + padding, 2 + padding))
+
+        def conv(x, w):
+            return N.conv_transpose_nd(x, w, stride=stride, padding=padding)
+
+    out_shape = conv(_t(x0), _t(w0)).shape
+    _, _, w_grad = _conv_grads(x0, w0, np.ones(out_shape), conv)
+    vjps = []
+    real_record = N.record
+
+    def keep_vjp(out, inputs, vjp):
+        vjps.append(vjp)
+        return real_record(out, inputs, vjp)
+
+    monkeypatch.setattr(N, "record", keep_vjp)
+    x, w = _t(x0), _t(w0, grad=True)  # x is a constant, like the stem's image
+    with Graph() as g:
+        loss = T.reduce_sum(conv(x, w))
+    backward(loss, g)
+    assert x.grad is None
+    np.testing.assert_array_equal(w.grad, w_grad)
+    gx, gw = vjps[0](np.ones(out_shape))
+    assert gx is None
+    np.testing.assert_array_equal(gw, w_grad)

@@ -1,5 +1,7 @@
 """Tensor container semantics and forward-op values."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -115,6 +117,23 @@ def test_sigmoid_extreme_inputs_are_stable():
     y = T.sigmoid(x).data
     assert np.isfinite(y).all()
     assert y[0] == 0.0 and y[-1] == 1.0 and y[2] == 0.5
+
+
+@pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-6), (np.float64, 1e-14)])
+def test_sigmoid_and_silu_saturate_to_the_closed_form(dtype, rtol):
+    xs = [-1000.0, -50.0, 50.0, 1000.0]
+    # the closed form, evaluated on the side where exp cannot overflow
+    sig = np.array([math.exp(v) / (1 + math.exp(v)) if v < 0 else 1 / (1 + math.exp(-v)) for v in xs])
+    x = Tensor(np.array(xs, dtype=dtype), requires_grad=True)
+    with Graph() as g:
+        s = T.sigmoid(x)
+        y = T.silu(x)
+        loss = T.add(T.reduce_sum(s), T.reduce_sum(y))
+    backward(loss, g)
+    for out, want in ((s.data, sig), (y.data, np.array(xs) * sig)):
+        assert out.dtype == dtype and np.isfinite(out).all()
+        np.testing.assert_allclose(out, want, rtol=rtol, atol=0)
+    assert np.isfinite(x.grad).all()
 
 
 def test_leaky_relu():

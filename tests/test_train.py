@@ -1,13 +1,18 @@
 """Run configs, training loop artifacts, resume, prediction."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xlunet.train as train
-from xlunet.data import generate_dataset, load_case, load_dataset
+from xlunet.data import XtenError, generate_dataset, load_case, load_dataset
 from xlunet.network import build_network
+from xlunet.optim import init_adamw
 from xlunet.tensor import ContractError, Tensor
 from xlunet.train import (
     RunConfig,
@@ -259,6 +264,114 @@ def test_corrupt_state_file_is_named(dataset, tmp_path):
     state.write_bytes(bytes(blob))
     with pytest.raises(ContractError, match=m["state"]):
         restore_network(m)
+
+
+def test_improving_epoch_hashes_its_state_once(dataset, tmp_path, monkeypatch):
+    # best/ and latest/ of one epoch get one state, built and hashed once
+    events = []
+    real_save, real_digest = train.save_checkpoint, train._state_digest
+
+    def save(ckpt_dir, *args):
+        real_save(ckpt_dir, *args)
+        events.append(ckpt_dir.name)
+
+    def digest(state):
+        events.append("sha256")
+        return real_digest(state)
+
+    monkeypatch.setattr(train, "save_checkpoint", save)
+    monkeypatch.setattr(train, "_state_digest", digest)
+    run_training(_tiny_cfg(max_epochs=3), dataset, tmp_path / "run")
+    epochs = "/".join(events).split("/latest")[:-1]
+    assert len(epochs) == 3
+    assert epochs[0] == "sha256/best"  # the first epoch always improves
+    for epoch in epochs:
+        assert epoch.strip("/") in ("sha256", "sha256/best"), events
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    """A valid checkpoint's manifest (as JSON) and state-file bytes."""
+    cfg = _tiny_cfg()
+    net = build_network(cfg.network_config())
+    d = tmp_path_factory.mktemp("ckpt")
+    train.save_checkpoint(d, net, init_adamw(net.params), cfg, 1, 2, 0.5, {"sampling": {}, "augment": {}})
+    manifest = json.loads((d / "manifest.json").read_text())
+    return manifest, (d / manifest["state"]).read_bytes()
+
+
+def _restore_from(manifest_bytes: bytes, state: bytes, state_name: str):
+    """Restore from a directory holding these bytes; only the reader's named
+    errors may escape."""
+    with tempfile.TemporaryDirectory() as d:
+        (Path(d) / "manifest.json").write_bytes(manifest_bytes)
+        (Path(d) / state_name).write_bytes(state)
+        try:
+            restore_network(load_checkpoint(d))
+        except (ContractError, XtenError):
+            return False
+        return True
+
+
+_MANIFEST_FIELDS = (
+    "format", "config", "epochs_completed", "global_step", "best_loss",
+    "rng", "step_count", "layout", "state", "sha256",
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def test_manifest_without_config_is_named(checkpoint):
+    manifest, state = checkpoint
+    broken = {k: v for k, v in manifest.items() if k != "config"}
+    with tempfile.TemporaryDirectory() as d:
+        (Path(d) / "manifest.json").write_text(json.dumps(broken))
+        with pytest.raises(ContractError, match=r"manifest\.json: missing key 'config'"):
+            load_checkpoint(d)
+        (Path(d) / "manifest.json").write_text("{not json")
+        with pytest.raises(ContractError, match=r"manifest\.json: not valid JSON"):
+            load_checkpoint(d)
+
+
+@given(st.one_of(st.binary(max_size=200), st.text(max_size=100).map(str.encode)))
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_manifest_bytes_raise_named_errors(checkpoint, blob):
+    manifest, state = checkpoint
+    assert not _restore_from(blob, state, manifest["state"])
+
+
+@given(
+    st.sets(st.sampled_from(_MANIFEST_FIELDS)),
+    st.dictionaries(st.sampled_from(_MANIFEST_FIELDS), _json_values, max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_manifest_fields_raise_named_errors(checkpoint, dropped, replaced):
+    manifest, state = checkpoint
+    fuzzed = {k: v for k, v in manifest.items() if k not in dropped}
+    fuzzed.update(replaced)
+    ok = _restore_from(json.dumps(fuzzed).encode(), state, manifest["state"])
+    if ok:  # only a manifest that still describes this state file restores
+        for key in ("config", "layout", "state", "sha256", "format"):
+            assert fuzzed[key] == manifest[key]
+
+
+@given(st.one_of(st.binary(max_size=300), st.integers(0, 10_000), st.integers(0, 10_000 * 8)))
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_state_file_raises_named_errors(checkpoint, change):
+    manifest, state = checkpoint
+    if isinstance(change, bytes):
+        fuzzed = change
+    elif change < len(state):  # truncated
+        fuzzed = state[:change]
+    else:  # one bit flipped
+        bit = change % (8 * len(state))
+        fuzzed = bytearray(state)
+        fuzzed[bit // 8] ^= 1 << (bit % 8)
+        fuzzed = bytes(fuzzed)
+    assert not _restore_from(json.dumps(manifest).encode(), fuzzed, manifest["state"])
 
 
 def test_v1_checkpoint_is_rejected(tmp_path):
