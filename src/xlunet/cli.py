@@ -14,7 +14,7 @@ from pathlib import Path
 from .data import XtenError, generate_dataset, read_xten, write_xten
 from .gradcheck import run_checks
 from .metrics import METRIC_NAMES
-from .tensor import ContractError, GraphError, NumericsError
+from .tensor import ContractError, NumericsError
 from .train import (
     load_checkpoint,
     load_run_config,
@@ -173,10 +173,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ContractError, GraphError, NumericsError, XtenError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (RuntimeError, OSError, ValueError) as e:
+    # ContractError is a ValueError and GraphError a RuntimeError
+    except (NumericsError, XtenError, RuntimeError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -239,25 +239,55 @@ def generate_dataset(
 
 
 def load_dataset(root) -> DatasetInfo:
+    """Read and check ``root/dataset.json``; every malformed manifest is a
+    ``ContractError`` that names the file and the key."""
     root = Path(root)
     manifest_path = root / "dataset.json"
     if not manifest_path.exists():
         raise ContractError(f"{root}: no dataset.json — not a dataset directory")
-    with open(manifest_path) as f:
-        manifest = json.load(f)
+    try:
+        manifest = json.loads(manifest_path.read_bytes())
+    except (ValueError, RecursionError) as e:  # bad JSON or bad UTF-8
+        raise ContractError(f"{manifest_path}: not valid JSON ({e})") from e
+    if not isinstance(manifest, dict):
+        raise ContractError(
+            f"{manifest_path}: expected a JSON object, got {type(manifest).__name__}"
+        )
     unknown = set(manifest) - _DATASET_KEYS
     if unknown:
-        raise ContractError(f"dataset.json: unknown keys {sorted(unknown)}")
+        raise ContractError(f"{manifest_path}: unknown keys {sorted(unknown)}")
     missing = _DATASET_KEYS - set(manifest)
     if missing:
-        raise ContractError(f"dataset.json: missing keys {sorted(missing)}")
+        raise ContractError(f"{manifest_path}: missing keys {sorted(missing)}")
+    for key in ("classes", "in_channels", "dims", "seed"):
+        if not isinstance(manifest[key], int) or isinstance(manifest[key], bool):
+            raise ContractError(
+                f"{manifest_path}: key {key!r} has type {type(manifest[key]).__name__}, expected int"
+            )
+    cases = manifest["cases"]
+    if not isinstance(cases, list) or not cases or not all(isinstance(c, str) for c in cases):
+        raise ContractError(f"{manifest_path}: key 'cases' must be a non-empty list of strings")
+    # case ids become file names under images/ and labels/
+    for case_id in cases:
+        if case_id in ("", ".", "..") or any(c in case_id for c in ("/", os.sep, "\0")):
+            raise ContractError(f"{manifest_path}: key 'cases' holds a bad case id {case_id!r}")
+    if manifest["dims"] not in (2, 3):
+        raise ContractError(f"{manifest_path}: key 'dims' must be 2 or 3, got {manifest['dims']}")
+    if manifest["classes"] < 2:
+        raise ContractError(
+            f"{manifest_path}: key 'classes' must be >= 2, got {manifest['classes']}"
+        )
+    if manifest["in_channels"] < 1:
+        raise ContractError(
+            f"{manifest_path}: key 'in_channels' must be >= 1, got {manifest['in_channels']}"
+        )
     return DatasetInfo(
         root=root,
-        classes=int(manifest["classes"]),
-        in_channels=int(manifest["in_channels"]),
-        dims=int(manifest["dims"]),
-        cases=list(manifest["cases"]),
-        seed=int(manifest["seed"]),
+        classes=manifest["classes"],
+        in_channels=manifest["in_channels"],
+        dims=manifest["dims"],
+        cases=cases,
+        seed=manifest["seed"],
     )
 
 

@@ -11,8 +11,9 @@ tensors and recompute from ``Tensor.data``, so the harness can nudge single
 elements in place.  Kink-bearing ops (leaky relu, |x|, max) get inputs kept
 away from their kinks; everything else uses generic random values.
 
-``corrupted_backward`` is a negative control: it makes matmul and conv
-backwards deliberately wrong, and a gradcheck run under it must fail.
+``corrupted_backward`` is a negative control: it makes every reverse sweep
+deliberately wrong, scaling each leaf gradient ``Graph.backward`` leaves, and
+a gradcheck run under it must fail.  No VJP knows about it.
 """
 
 from __future__ import annotations
@@ -70,12 +71,21 @@ class CheckResult:
 
 @contextmanager
 def corrupted_backward(scale: float = 0.02):
-    """Scale matmul/conv weight cotangents wrong — checks must then fail."""
-    T._BACKWARD_FAULT[0] = float(scale)
+    """Scale every leaf gradient of each ``Graph.backward`` by ``1 + scale``
+    — checks must then fail.  Restores the ``Graph.backward`` it found, which
+    may itself be a wrapper (a tracer's, say)."""
+    found = Graph.backward
+
+    def wrong_backward(self, loss):
+        found(self, loss)
+        for leaf in self._leaves.values():
+            leaf.grad = leaf.grad * (1.0 + scale)
+
+    Graph.backward = wrong_backward
     try:
         yield
     finally:
-        T._BACKWARD_FAULT[0] = 0.0
+        Graph.backward = found
 
 
 def finite_diff_check(

@@ -11,43 +11,38 @@ input and copies the patches of a few output rows (along the first spatial
 axis) at a time into one reused buffer, so the GEMM reads each slab back from
 cache instead of streaming a matrix 27x the input from memory.  A slab holds
 at most ``_SLAB_BYTES`` = 512 KiB (at least one row): with the GEMM's
-operands and output beside it, it stays inside a 2 MiB per-core L2.  The
+operands and output beside it, it stays inside a 2 MiB per-core L2.  A
+one-tap kernel at stride 1 needs no copy: its patch matrix is the input.  The
 transposed convolution is the exact adjoint of ``conv_nd`` under the same
 (stride, padding) geometry, so <conv(x, w), y> == <x, conv_transpose(y, w)>
 holds to rounding error, with the *same* weight array: conv weights are
 (out_ch, in_ch, *k), transposed conv weights are (in_ch, out_ch, *k).
 
-Routes, by geometry:
+Routes:
 
 * ``conv_nd`` forward: ``y[:, :, slab] = W @ patches(slab)``.  Its weight
   cotangent re-slabs the padded input kept by the forward and accumulates
-  ``g[:, :, slab] @ patches(slab).T``.
-* ``conv_nd`` input cotangent at stride 1 and padding <= k-1 on every axis
-  (every 3x3/pad-1 and 1x1/pad-0 conv in the network): output p reads input
-  q = p + off - padding through tap off, so input q gathers
-  g[q - (k-1-padding) + off'] through tap off = k-1-off'.  That is a
-  correlation of g, padded by k-1-padding, with the kernel flipped on every
-  spatial axis and its in/out axes swapped: the same slab loop as the
-  forward, with inner dimension Cout*K, and no scatter-add.  Otherwise
-  (strided, or padding > k-1, where the padded g would need a negative
-  pad): ``w.T @ g`` back onto patches, then the ``_col2im`` scatter-add.
-  The input cotangent is skipped (``None``) when x does not require grad.
-* ``conv_transpose_nd`` forward with kernel == stride and padding 0 (every
-  2x up-convolution): the windows do not overlap, so it is one GEMM and a
-  depth-to-space transpose (the sub-pixel identity, Shi et al. 2016).  Any
-  other geometry: GEMM onto patches, then ``_col2im``.
-* ``conv_transpose_nd`` backward: both cotangents come from the slabs of g,
-  the forward of ``conv_nd``.
+  ``g[:, :, slab] @ patches(slab).T``; so does ``conv_transpose_nd``'s
+  backward, whose cotangents come from the slabs of g.
+* The adjoint (``conv_nd``'s input cotangent, ``conv_transpose_nd``'s
+  forward) is ``_conv_t``, one phase rule for every geometry.  Conv output p
+  reads input q = p*stride + off - padding through tap off, so q receives
+  only the taps with off == (q + padding) mod stride.  The outputs of one
+  phase (one residue per axis) are a stride-1 correlation of a window of y
+  with that phase's taps, flipped on every spatial axis and with in/out axes
+  swapped, written to the phase's strided slice.  Stride 1 is one phase, the
+  whole output, returned as the GEMM wrote it; a phase with no taps (kernel
+  < stride) stays zero.  x gets no cotangent (``None``) without requires_grad.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from . import tensor as _tensor
 from .tensor import ContractError, Tensor, record
 
 __all__ = [
@@ -76,13 +71,22 @@ def _per_axis(value, rank: int, name: str) -> tuple[int, ...]:
     return value
 
 
-def _pad(arr: np.ndarray, padding) -> np.ndarray:
-    """Zero-pad the spatial axes of (B, C, *sp) by ``padding`` on each side."""
-    if not any(padding):
-        return arr
+def _window(arr: np.ndarray, start, size) -> np.ndarray:
+    """The (B, C, *size) window of the spatial axes of ``arr`` (B, C, *sp)
+    whose first corner is ``start``, zero where it leaves ``arr``: a negative
+    start pads, a short size crops.  ``arr`` itself when nothing changes."""
     sp = arr.shape[2:]
-    out = np.zeros(arr.shape[:2] + tuple(n + 2 * p for n, p in zip(sp, padding)), arr.dtype)
-    out[(slice(None), slice(None)) + tuple(slice(p, p + n) for p, n in zip(padding, sp))] = arr
+    if not any(start) and tuple(size) == sp:
+        return arr
+    out = np.zeros(arr.shape[:2] + tuple(size), arr.dtype)
+    src, dst = [slice(None)] * 2, [slice(None)] * 2
+    for a, m, n in zip(start, size, sp):
+        lo, hi = max(a, 0), min(a + m, n)
+        if lo >= hi:
+            return out
+        src.append(slice(lo, hi))
+        dst.append(slice(lo - a, hi - a))
+    out[tuple(dst)] = arr[tuple(src)]
     return out
 
 
@@ -90,9 +94,13 @@ def _slabs(xp: np.ndarray, k, stride, out_sp):
     """Yield ``(cols_slice, cols)`` slab by slab along the first output axis:
     ``cols`` is the (B, C*prod(k), n) patch matrix of the padded input ``xp``
     at the n flattened output positions ``cols_slice``.  Every slab lives in
-    one reused buffer: use it before asking for the next."""
+    one reused buffer: use it before asking for the next.  A one-tap kernel
+    at stride 1 yields ``xp`` itself as its one slab."""
     rank = len(k)
     b, c = xp.shape[:2]
+    if math.prod(k) == 1 and all(s == 1 for s in stride):
+        yield slice(None), xp.reshape(b, c, -1)
+        return
     sb, sc, *ssp = xp.strides
     view = as_strided(
         xp,
@@ -135,23 +143,37 @@ def _patch_gemm(xp, k, stride, out_sp, lhs=None, g=None):
     return y, gw
 
 
-def _col2im(cols: np.ndarray, c: int, sp, k, stride, padding, grid_sp) -> np.ndarray:
-    """Adjoint of patch extraction: scatter-add (B, C*prod(k), prod(grid_sp))
-    patches back onto a (B, C, *sp) canvas."""
-    rank = len(k)
-    b = cols.shape[0]
-    padded = tuple(n + 2 * p for n, p in zip(sp, padding))
-    canvas = np.zeros((b, c) + padded, dtype=cols.dtype)
-    blocks = cols.reshape((b, c) + tuple(k) + tuple(grid_sp))
+def _conv_t(y: np.ndarray, w: np.ndarray, stride, padding, out_sp) -> np.ndarray:
+    """Adjoint of ``conv_nd(., w, stride, padding)``: (B, w.shape[0], *sp) ->
+    (B, w.shape[1], *out_sp), one stride-1 correlation per output phase (see
+    the module docstring)."""
+    k = w.shape[2:]
     lead = (slice(None), slice(None))
-    for off in np.ndindex(*k):
-        sl = tuple(
-            slice(off[d], off[d] + stride[d] * (grid_sp[d] - 1) + 1, stride[d])
-            for d in range(rank)
-        )
-        canvas[lead + sl] += blocks[lead + off]
-    core = tuple(slice(p, p + n) for p, n in zip(padding, sp))
-    return canvas[lead + core]
+    flip = lead + (slice(None, None, -1),) * len(k)
+    wt = w.swapaxes(0, 1)
+    alloc = np.empty if all(kk >= s for kk, s in zip(k, stride)) else np.zeros
+    out = None if max(stride) == 1 else alloc(y.shape[:1] + wt.shape[:1] + out_sp, y.dtype)
+
+    def phases(kk, s, p, n):
+        # phase r: taps r, r + s, ...; outputs q0, q0 + s, ... (those with
+        # (q + padding) % s == r); and the window of y they read, from
+        # (q0 + padding - r) / s back by the tap count less one
+        for r in range(min(s, kk)):
+            q0, n_taps = (r - p) % s, len(range(r, kk, s))
+            n_q, start = len(range(q0, n, s)), (q0 + p - r) // s - (n_taps - 1)
+            yield slice(r, None, s), slice(q0, None, s), n_q, start, n_q + n_taps - 1
+
+    for phase in itertools.product(*map(phases, k, stride, padding, out_sp)):
+        tap_sl, out_sl, n_q, start, size = zip(*phase)
+        if not all(n_q):
+            continue
+        taps = wt[lead + tap_sl][flip]
+        lhs = taps.reshape(len(taps), -1)
+        part, _ = _patch_gemm(_window(y, start, size), taps.shape[2:], (1,) * len(k), n_q, lhs=lhs)
+        if out is None:
+            return part
+        out[lead + out_sl] = part
+    return out
 
 
 def _check_conv_args(x: Tensor, w: Tensor, bias, op: str) -> int:
@@ -178,7 +200,7 @@ def conv_nd(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1, padding=
     rank = _check_conv_args(x, w, bias, "conv_nd")
     stride = _per_axis(stride, rank, "stride")
     padding = _per_axis(padding, rank, "padding")
-    b, cin = x.shape[:2]
+    cin = x.shape[1]
     cout, cin_w = w.shape[:2]
     k = w.shape[2:]
     if cin_w != cin:
@@ -194,7 +216,8 @@ def conv_nd(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1, padding=
             f"conv_nd: kernel {k} does not fit input {sp} with padding {padding}"
         )
 
-    xp = _pad(x.data, padding)
+    padded = tuple(n + 2 * p for n, p in zip(sp, padding))
+    xp = _window(x.data, tuple(-p for p in padding), padded)
     w2 = w.data.reshape(cout, -1)
     y, _ = _patch_gemm(xp, k, stride, out_sp, lhs=w2)  # (B, Cout, *out)
     if bias is not None:
@@ -204,20 +227,7 @@ def conv_nd(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1, padding=
     def vjp(g):
         _, gw = _patch_gemm(xp, k, stride, out_sp, g=g)
         gw = gw.reshape(w.shape)
-        if _tensor._BACKWARD_FAULT[0] != 0.0:
-            gw = gw * (1.0 + _tensor._BACKWARD_FAULT[0])
-        gx = None
-        if x.requires_grad:
-            # at stride 1 with padding <= k-1: correlate the padded g with the
-            # flipped kernel (see the module docstring)
-            back_pad = tuple(kk - 1 - p for kk, p in zip(k, padding))
-            if all(s == 1 for s in stride) and min(back_pad) >= 0:
-                flip = (slice(None), slice(None)) + (slice(None, None, -1),) * rank
-                w_flip = w.data.swapaxes(0, 1)[flip].reshape(cin, -1)
-                gx, _ = _patch_gemm(_pad(g, back_pad), k, stride, sp, lhs=w_flip)
-            else:
-                g2 = g.reshape(b, cout, -1)
-                gx = _col2im(np.matmul(w2.T, g2), cin, sp, k, stride, padding, out_sp)
+        gx = _conv_t(g, w.data, stride, padding, sp) if x.requires_grad else None
         if bias is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0,) + tuple(range(2, 2 + rank)))
@@ -243,7 +253,7 @@ def conv_transpose_nd(
     rank = _check_conv_args(x, w, bias, "conv_transpose_nd")
     stride = _per_axis(stride, rank, "stride")
     padding = _per_axis(padding, rank, "padding")
-    b, cin = x.shape[:2]
+    cin = x.shape[1]
     cin_w, cout = w.shape[:2]
     k = w.shape[2:]
     if cin_w != cin:
@@ -271,27 +281,17 @@ def conv_transpose_nd(
             f" kernel {k}, stride {stride}, padding {padding}"
         )
 
-    x2 = x.data.reshape(b, cin, -1)  # (B, Cin, P)
-    w2 = w.data.reshape(cin, -1)  # (Cin, Cout*K)
-    cols = np.matmul(w2.T, x2)  # (B, Cout*K, P)
-    if k == stride and not any(padding) and out_sp == tuple(n * s for n, s in zip(sp, stride)):
-        # non-overlapping windows: depth-to-space, (B, Cout, *k, *sp) ->
-        # (B, Cout, sp0, k0, sp1, k1, ...) -> (B, Cout, *out)
-        perm = (0, 1) + tuple(a for d in range(rank) for a in (2 + rank + d, 2 + d))
-        y = cols.reshape((b, cout) + k + sp).transpose(perm).reshape((b, cout) + out_sp)
-    else:
-        y = _col2im(cols, cout, out_sp, k, stride, padding, sp)
+    y = _conv_t(x.data, w.data, stride, padding, out_sp)
     if bias is not None:
-        y = y + bias.data.reshape((1, cout) + (1,) * rank)
+        y += bias.data.reshape((1, cout) + (1,) * rank)
     out = Tensor(y)
 
     def vjp(g):
-        gx, gw = _patch_gemm(
-            _pad(g, padding), k, stride, sp, lhs=w2 if x.requires_grad else None, g=x.data
-        )
+        padded = tuple(n + 2 * p for n, p in zip(out_sp, padding))
+        gp = _window(g, tuple(-p for p in padding), padded)
+        w2 = w.data.reshape(cin, -1) if x.requires_grad else None
+        gx, gw = _patch_gemm(gp, k, stride, sp, lhs=w2, g=x.data)
         gw = gw.reshape(w.shape)
-        if _tensor._BACKWARD_FAULT[0] != 0.0:
-            gw = gw * (1.0 + _tensor._BACKWARD_FAULT[0])
         if bias is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0,) + tuple(range(2, 2 + rank)))

@@ -515,17 +515,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         ga = _reduce_to(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
         gb = _reduce_to(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-        if _BACKWARD_FAULT[0] != 0.0:
-            gb = gb * (1.0 + _BACKWARD_FAULT[0])
         return ga, gb
 
     return record(out, (a, b), vjp)
-
-
-# Deliberate-fault hook for the gradient checker's negative control: when set
-# nonzero (see gradcheck.corrupted_backward) matmul's weight cotangent is
-# scaled wrong and any check involving a matmul must fail.
-_BACKWARD_FAULT = [0.0]
 
 
 # ---------------------------------------------------------------------------

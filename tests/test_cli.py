@@ -185,6 +185,17 @@ def test_runtime_errors_exit_1(workspace, tmp_path, capsys):
     assert code == 1
     assert "oops" in capsys.readouterr().err
 
+    # malformed dataset.json: a named error, not a TypeError traceback
+    data = tmp_path / "data"
+    data.mkdir()
+    manifest = json.loads((workspace / "data" / "dataset.json").read_text())
+    (data / "dataset.json").write_text(json.dumps(dict(manifest, cases=5)))
+    code = main(
+        ["train", "--config", str(workspace / "run.json"), "--data", str(data), "--out", str(tmp_path / "c")]
+    )
+    assert code == 1
+    assert "'cases'" in capsys.readouterr().err
+
     # unknown gradcheck module: the error lists the valid ones
     assert main(["gradcheck", "--module", "nope"]) == 1
     err = capsys.readouterr().err

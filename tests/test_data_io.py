@@ -246,6 +246,78 @@ def test_load_dataset_rejects_tampered_manifest(tmp_path):
         load_dataset(tmp_path / "ds")
 
 
+_DATASET_FIELDS = ("classes", "in_channels", "dims", "cases", "seed")
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 5)
+    | st.floats(allow_nan=False)
+    | st.sampled_from(["", ".", "..", "a/b", "case_000"])
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@pytest.fixture(scope="module")
+def dataset_manifest(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ds")
+    generate_dataset(root, num_cases=2, classes=3, dims=2, size=(8, 8), seed=0)
+    return root, (root / "dataset.json").read_bytes()
+
+
+def _load_from(root, blob):
+    """Load the dataset with ``blob`` as its dataset.json; only a
+    ContractError may escape, and a loaded dataset is well-typed."""
+    (root / "dataset.json").write_bytes(blob)
+    try:
+        info = load_dataset(root)
+    except ContractError as e:
+        assert "dataset.json" in str(e)
+        return None
+    assert info.dims in (2, 3) and info.classes >= 2 and info.in_channels >= 1
+    assert info.cases
+    assert all(isinstance(c, str) and c not in ("", ".", "..") and "/" not in c for c in info.cases)
+    return info
+
+
+@given(st.one_of(st.binary(max_size=200), st.text(max_size=100).map(str.encode)))
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_dataset_bytes_raise_named_errors(dataset_manifest, blob):
+    root, good = dataset_manifest
+    try:
+        _load_from(root, blob)
+    finally:
+        (root / "dataset.json").write_bytes(good)
+
+
+@example(set(), {"cases": 5})
+@example(set(), {"classes": None})
+@example(set(), {"classes": "x"})
+@example(set(), {"dims": True})
+@example(set(), {"cases": ["../labels/case_000"]})
+@example(set(), {"cases": []})
+@given(
+    st.sets(st.sampled_from(_DATASET_FIELDS)),
+    st.dictionaries(st.sampled_from(_DATASET_FIELDS), _json_values, max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_dataset_fields_raise_named_errors(dataset_manifest, dropped, replaced):
+    import json
+
+    root, good = dataset_manifest
+    fuzzed = {k: v for k, v in json.loads(good).items() if k not in dropped}
+    fuzzed.update(replaced)
+    try:
+        info = _load_from(root, json.dumps(fuzzed).encode())
+    finally:
+        (root / "dataset.json").write_bytes(good)
+    if info is not None:
+        assert not dropped and (info.classes, info.dims, info.cases) == (
+            fuzzed["classes"], fuzzed["dims"], fuzzed["cases"]
+        )
+
+
 def test_generate_dataset_validates_args(tmp_path):
     with pytest.raises(ContractError):
         generate_dataset(tmp_path / "x", num_cases=0, classes=3, dims=2, size=(32, 32), seed=0)

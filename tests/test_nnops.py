@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import xlunet.nnops as N
@@ -238,11 +238,11 @@ def test_conv_vjp_is_true_adjoint(rng, stride, padding):
 
 
 # ---------------------------------------------------------------------------
-# finite differences for each conv_nd backward route
+# finite differences for conv_nd's backward at stride 1
 
 
 @pytest.mark.parametrize(
-    "rank,k,padding,uses_col2im",
+    "rank,k,padding,crops",
     [
         (1, 3, 0, False),
         (1, 3, 1, False),
@@ -251,32 +251,27 @@ def test_conv_vjp_is_true_adjoint(rng, stride, padding):
         (3, 3, 0, False),
         (3, 3, 1, False),
         (3, 1, 0, False),
-        (2, 3, 3, True),  # padding > k - 1: no flipped-kernel correlation
+        (2, 3, 3, True),  # padding > k - 1: the adjoint crops g instead of padding it
     ],
 )
 def test_conv_stride1_gradients_match_finite_differences(
-    rng, monkeypatch, rank, k, padding, uses_col2im
+    rng, monkeypatch, rank, k, padding, crops
 ):
     sp = {1: (6,), 2: (5, 4), 3: (4, 3, 3)}[rank]
     x = _t(rng.normal(size=(2, 3) + sp), grad=True)
     w = _t(rng.normal(size=(4, 3) + (k,) * rank), grad=True)
     out_sp = tuple(n + 2 * padding - k + 1 for n in sp)
     wt = _t(rng.normal(size=(2, 4) + out_sp))
-    col2im_calls = []
-    col2im = N._col2im
-
-    def counted_col2im(*args):
-        col2im_calls.append(args)
-        return col2im(*args)
-
-    monkeypatch.setattr(N, "_col2im", counted_col2im)
+    windows = _counted(monkeypatch, "_window")
 
     def fn():
         return T.reduce_sum(T.mul(N.conv_nd(x, w, stride=1, padding=padding), wt))
 
     res = finite_diff_check(fn, [x, w], rng=rng)
     assert res.passed, res.line()
-    assert bool(col2im_calls) == uses_col2im
+    # the forward pads x (start -padding); the adjoint's window of g starts
+    # at padding - (k - 1), past g's first corner exactly when it crops
+    assert any(a > 0 for _, start, _ in windows for a in start) == crops
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +336,7 @@ def test_conv_several_slabs_equal_one_slab(rng, monkeypatch, stride, padding):
 
 
 @pytest.mark.parametrize(
-    "rank,k,stride,padding,uses_col2im",
+    "rank,k,stride,padding,overlapping",
     [
         (1, 2, 2, 0, False),
         (2, 2, 2, 0, False),
@@ -350,24 +345,82 @@ def test_conv_several_slabs_equal_one_slab(rng, monkeypatch, stride, padding):
         (3, 3, 2, 1, True),
     ],
 )
-def test_conv_transpose_routes(rng, monkeypatch, rank, k, stride, padding, uses_col2im):
+def test_conv_transpose_routes(rng, monkeypatch, rank, k, stride, padding, overlapping):
     sp = {1: (5,), 2: (4, 3), 3: (3, 2, 3)}[rank]
     x0 = rng.normal(size=(2, 3) + sp)
     w0 = rng.normal(size=(3, 2) + (k,) * rank)
     out_sp = tuple((n - 1) * stride - 2 * padding + k for n in sp)
     wt0 = rng.normal(size=(2, 2) + out_sp)
-    col2im_calls = _counted(monkeypatch, "_col2im")
 
     def conv(x, w):
         return N.conv_transpose_nd(x, w, stride=stride, padding=padding)
 
-    y, _, _ = _conv_grads(x0, w0, wt0, conv)
-    assert bool(col2im_calls) == uses_col2im
+    slabs = _counted(monkeypatch, "_slabs")
+    y = conv(_t(x0), _t(w0)).data
+    # kernel == stride: each output phase has one tap, whose patch matrix is
+    # x itself; overlapping windows give some phase more than one tap
+    assert slabs and any(np.prod(phase_k) > 1 for _, phase_k, _, _ in slabs) == overlapping
     want = conv_transpose_nd_loops(x0, w0, stride=stride, padding=padding)
     np.testing.assert_allclose(y, want, rtol=1e-10, atol=1e-10)
     x, w = _t(x0, grad=True), _t(w0, grad=True)
     res = finite_diff_check(lambda: T.reduce_sum(T.mul(conv(x, w), _t(wt0))), [x, w], rng=rng)
     assert res.passed, res.line()
+
+
+@st.composite
+def _adjoint_geometry(draw):
+    """(rank, k, stride, padding, input size, output size) of a transposed
+    conv: kernel 1-4, stride 1-3, padding 0..k+1, and an output size up to
+    stride - 1 past the default on each axis."""
+    rank = draw(st.integers(1, 3))
+    axes = []
+    for _ in range(rank):
+        k = draw(st.integers(1, 4))
+        s = draw(st.integers(1, 3))
+        p = draw(st.integers(0, k + 1))
+        lo = max(1, 1 - (k - 2 * p - 1) // s)  # smallest input with a default output >= 1
+        n = draw(st.integers(lo, lo + (2 if rank == 3 else 3)))
+        o = (n - 1) * s - 2 * p + k + draw(st.integers(0, s - 1))
+        axes.append((k, s, p, n, o))
+    return (rank,) + tuple(tuple(a[i] for a in axes) for i in range(5))
+
+
+@given(_adjoint_geometry())
+@example((3, (1, 1, 1), (2, 2, 2), (0, 0, 0), (2, 3, 2), (3, 6, 4)))  # the 1^3 stride-2 skip
+@example((2, (3, 4), (2, 3), (3, 1), (3, 2), (2, 5)))  # k not a multiple of s, padding > k - 1
+@example((1, (4,), (3,), (0,), (3,), (12,)))  # stride 3, enlarged output size
+def test_adjoint_is_one_route_for_every_geometry(geometry):
+    rank, k, stride, padding, sp, out_sp = geometry
+    rng = np.random.default_rng(sum(k) + 7 * sum(stride) + 31 * sum(sp))
+    x0 = rng.normal(size=(2, 2) + sp)
+    w0 = rng.normal(size=(2, 3) + k)
+    y = N.conv_transpose_nd(_t(x0), _t(w0), stride=stride, padding=padding, output_size=out_sp)
+    want = conv_transpose_nd_loops(x0, w0, stride=stride, padding=padding, output_size=out_sp)
+    np.testing.assert_allclose(y.data, want, rtol=1e-10, atol=1e-10)
+    # conv_nd's input cotangent is the same map: <conv(z), x0> == <z, convT(x0)>
+    z = _t(rng.normal(size=(2, 3) + out_sp), grad=True)
+    with Graph() as g:
+        c = N.conv_nd(z, _t(w0), stride=stride, padding=padding)
+        loss = T.reduce_sum(T.mul(c, _t(x0)))
+    backward(loss, g)
+    assert c.shape[2:] == sp
+    np.testing.assert_allclose(z.grad, y.data, rtol=1e-10, atol=1e-10)
+
+
+def test_one_tap_stride1_patches_are_the_input(rng):
+    x0 = rng.normal(size=(2, 3, 5, 4))
+    w0 = rng.normal(size=(4, 3, 1, 1))
+    [(sl, cols)] = list(N._slabs(x0, (1, 1), (1, 1), (5, 4)))
+    assert sl == slice(None) and cols.shape == (2, 3, 20) and np.shares_memory(cols, x0)
+    wt0 = rng.normal(size=(2, 4, 5, 4))
+
+    def conv(x, w):
+        return N.conv_nd(x, w, stride=1, padding=0)
+
+    y, gx, gw = _conv_grads(x0, w0, wt0, conv)
+    np.testing.assert_allclose(y, conv_nd_loops(x0, w0), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(gx, np.einsum("bohw,oc->bchw", wt0, w0[:, :, 0, 0]), rtol=1e-12)
+    np.testing.assert_allclose(gw[:, :, 0, 0], np.einsum("bohw,bchw->oc", wt0, x0), rtol=1e-12)
 
 
 @pytest.mark.parametrize(
