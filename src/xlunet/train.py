@@ -50,6 +50,7 @@ from .data import (
 from .losses import LossConfig, dice_ce_loss
 from .metrics import (
     METRIC_NAMES,
+    check_label_map,
     dice_coefficient,
     evaluate_case,
     write_aggregate_csv,
@@ -646,7 +647,9 @@ def run_eval(
 
     Writes per-case JSON lines to ``out_path`` and the aggregate CSV next to
     it (suffix swapped to .csv).  Missing predictions are reported to stderr
-    and excluded; their presence makes the exit code 1.
+    and excluded; their presence makes the exit code 1.  A label file that is
+    not integer, holds a negative label or differs in shape from its pair is
+    a ``ContractError`` naming the file.
     """
     stderr = stderr if stderr is not None else sys.stderr
     pred_dir = Path(pred_dir)
@@ -662,12 +665,16 @@ def run_eval(
         if not pred_file.exists():
             missing.append(gt_file.stem)
             continue
-        pairs[gt_file.stem] = (read_xten(pred_file), read_xten(gt_file))
+        pred = check_label_map(read_xten(pred_file), str(pred_file))
+        gt = check_label_map(read_xten(gt_file), str(gt_file))
+        if pred.shape != gt.shape:
+            raise ContractError(f"{pred_file}: shape {pred.shape} differs from {gt_file}'s {gt.shape}")
+        pairs[gt_file.stem] = (pred, gt)
     if not pairs:
         raise ContractError(f"{pred_dir}: no predictions matched the label files")
     num_classes = 0
     for pred, gt in pairs.values():
-        num_classes = max(num_classes, int(pred.max()) + 1, int(gt.max()) + 1)
+        num_classes = max(num_classes, int(pred.max(initial=0)) + 1, int(gt.max(initial=0)) + 1)
     num_classes = max(num_classes, 2)
     results = {
         case_id: evaluate_case(pred, gt, num_classes, metrics, tolerance, iou_threshold)

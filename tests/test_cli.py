@@ -207,6 +207,22 @@ def test_runtime_errors_exit_1(workspace, tmp_path, capsys):
     )
     assert code == 1
 
+    # a float label file is not scored as background: the error names it
+    for side in ("pred", "gt"):
+        (tmp_path / side).mkdir()
+    write_xten(tmp_path / "pred" / "case_000.xten", np.full((8, 8), 1.5, dtype=np.float32))
+    write_xten(tmp_path / "gt" / "case_000.xten", np.ones((8, 8), dtype=np.int32))
+    code = main(
+        [
+            "eval",
+            "--pred", str(tmp_path / "pred"),
+            "--gt", str(tmp_path / "gt"),
+            "--out", str(tmp_path / "scores.jsonl"),
+        ]
+    )
+    assert code == 1
+    assert str(tmp_path / "pred" / "case_000.xten") in capsys.readouterr().err
+
     # corrupt data file
     bad_xten = tmp_path / "bad.xten"
     bad_xten.write_bytes(b"JUNKJUNKJUNK")

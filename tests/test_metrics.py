@@ -280,6 +280,121 @@ def test_reports_roundtrip(tmp_path):
     ]
 
 
+# ---------------------------------------------------------------------------
+# every metric of a class runs on the union box of its two masks
+
+
+def _union_box_shape(pred, gt):
+    """The bounding box of pred | gt widened by one voxel and clipped, as a shape."""
+    hits = np.argwhere(pred | gt)
+    lo = np.maximum(hits.min(axis=0) - 1, 0)
+    hi = np.minimum(hits.max(axis=0) + 2, pred.shape)
+    return tuple(int(n) for n in hi - lo)
+
+
+def _spy_edt(monkeypatch):
+    import xlunet.metrics as metrics
+
+    shapes = []
+    real_edt = metrics.ndimage.distance_transform_edt
+
+    def spy(mask):
+        shapes.append(mask.shape)
+        return real_edt(mask)
+
+    monkeypatch.setattr(metrics.ndimage, "distance_transform_edt", spy)
+    return shapes
+
+
+def _assert_matches_bruteforce(res, pred, gt, classes, tolerance):
+    for cls in classes:
+        p, g = pred == cls, gt == cls
+        row = res[cls]
+        assert row["dsc"] == pytest.approx(dice_bf(p, g), abs=1e-12)
+        assert row["nsd"] == pytest.approx(surface_dice_bf(p, g, tolerance), abs=1e-9)
+        hb = hausdorff95_bf(p, g)
+        if hb is None:
+            assert row["hd95"] is None
+        else:
+            assert row["hd95"] == pytest.approx(hb, abs=1e-6)
+        assert row["f1"] == pytest.approx(instance_f1_bf(p, g), abs=1e-12)
+
+
+@st.composite
+def _blob_label_pairs(draw):
+    """Two label maps of up to four boxes of classes 1-3 each.  Boxes may run
+    past the array edge (they are clipped, so they touch it), and a class may
+    be missing from one map or from both."""
+    ndim = draw(st.sampled_from((2, 3)))
+    side = 9 if ndim == 2 else 6
+    shape = tuple(draw(st.lists(st.integers(1, side), min_size=ndim, max_size=ndim)))
+
+    def label_map():
+        labels = np.zeros(shape, dtype=np.int32)
+        for _ in range(draw(st.integers(0, 4))):
+            cls = draw(st.integers(1, 3))
+            box = []
+            for n in shape:
+                lo = draw(st.integers(0, n - 1))
+                box.append(slice(lo, lo + draw(st.integers(1, n))))
+            labels[tuple(box)] = cls
+        return labels
+
+    return label_map(), label_map()
+
+
+@given(_blob_label_pairs(), st.sampled_from((0.0, 1.0, 1.5)))
+@settings(max_examples=60)
+def test_cropped_evaluate_case_matches_bruteforce(pair, tolerance):
+    pred, gt = pair
+    res = evaluate_case(pred, gt, num_classes=4, tolerance=tolerance)
+    _assert_matches_bruteforce(res, pred, gt, (1, 2, 3), tolerance)
+
+
+def test_edt_runs_on_the_union_box(monkeypatch):
+    shape = (14, 16, 12)
+    gt = np.zeros(shape, dtype=np.int32)
+    gt[4:9, 5:10, 3:7] = 1  # interior blob
+    gt[0:3, 10:16, 6:12] = 2  # touches three array faces
+    pred = np.roll(gt, (1, -1, 1), axis=(0, 1, 2))
+    shapes = _spy_edt(monkeypatch)
+    res = evaluate_case(pred, gt, num_classes=3, tolerance=1.5)
+    assert len(shapes) == 4  # one EDT per side and class
+    for cls, calls in ((1, shapes[:2]), (2, shapes[2:])):
+        box = _union_box_shape(pred == cls, gt == cls)
+        for edt_shape in calls:
+            assert all(e <= b for e, b in zip(edt_shape, box)), (cls, edt_shape, box)
+    # the interior blob's EDTs see exactly its widened box, far less than the volume
+    assert shapes[:2] == [(8, 8, 7)] * 2
+    assert all(np.prod(s) < np.prod(shape) for s in shapes[:2])
+    _assert_matches_bruteforce(res, pred, gt, (1, 2), 1.5)
+
+
+def test_crop_clipped_at_the_array_border(monkeypatch):
+    # both blobs run into the top-left corner: the widened box is clipped there,
+    # and the border still counts as background for the boundary
+    pred = np.zeros((10, 12), dtype=np.int32)
+    gt = np.zeros_like(pred)
+    pred[0:3, 0:3] = 1
+    gt[0:4, 1:4] = 1
+    shapes = _spy_edt(monkeypatch)
+    res = evaluate_case(pred, gt, num_classes=2, tolerance=1.0)
+    assert shapes == [(5, 5), (5, 5)]
+    _assert_matches_bruteforce(res, pred, gt, (1,), 1.0)
+    assert res[1]["nsd"] == surface_dice(pred == 1, gt == 1, 1.0)
+    assert res[1]["hd95"] == hausdorff95(pred == 1, gt == 1)
+    assert res[1]["f1"] == instance_f1(pred == 1, gt == 1)
+
+
+@pytest.mark.parametrize("bad", [np.full((4, 4), 1.5, dtype=np.float32), np.full((4, 4), -1)])
+def test_evaluate_case_rejects_non_label_arrays(bad):
+    ok = np.zeros((4, 4), dtype=np.int32)
+    with pytest.raises(ContractError, match="gt_labels"):
+        evaluate_case(ok, bad, 2)
+    with pytest.raises(ContractError, match="pred_labels"):
+        evaluate_case(bad, ok, 2)
+
+
 def test_evaluate_case_validates_shapes():
     with pytest.raises(ContractError):
         evaluate_case(

@@ -468,3 +468,26 @@ def test_run_eval_reports_and_exit_codes(dataset, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert info.cases[0] in err
+
+
+@pytest.mark.parametrize(
+    "side,bad",
+    [
+        ("pred", np.full((6, 6), 1.5, dtype=np.float32)),
+        ("gt", np.full((6, 6), np.nan, dtype=np.float32)),
+        ("pred", np.full((6, 6), -1, dtype=np.int32)),
+        ("gt", np.zeros((6, 5), dtype=np.int32)),
+    ],
+    ids=["float", "nan", "negative", "shape"],
+)
+def test_run_eval_rejects_bad_label_files_by_name(tmp_path, side, bad):
+    from xlunet.data import write_xten
+
+    dirs = {name: tmp_path / name for name in ("pred", "gt")}
+    for d in dirs.values():
+        d.mkdir()
+        write_xten(d / "case_000.xten", np.ones((6, 6), dtype=np.int32))
+    write_xten(dirs[side] / "case_000.xten", bad)
+    with pytest.raises(ContractError, match="case_000.xten"):
+        run_eval(dirs["pred"], dirs["gt"], tmp_path / "rep.jsonl")
+    assert not (tmp_path / "rep.jsonl").exists()
