@@ -29,6 +29,8 @@ import math
 import os
 import struct
 import sys
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -147,6 +149,70 @@ def read_xten(path) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# JSON files: run configs, dataset.json and checkpoint manifests
+
+
+def _read_json_object(path) -> dict:
+    """The JSON object in the UTF-8 file ``path``.  Bad UTF-8, bad JSON,
+    nesting too deep to parse, a value that is not an object, and a NaN or an
+    infinity anywhere (``NaN``, ``Infinity``, or a literal that overflows such
+    as ``1e999``) are each a ``ContractError`` naming the file."""
+    try:
+        raw = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
+        raise ContractError(f"{path}: not valid JSON ({e})") from e
+    if not isinstance(raw, dict):
+        raise ContractError(f"{path}: expected a JSON object, got {type(raw).__name__}")
+    # an explicit stack, so any depth the parser took is walked
+    stack = list(raw.items())
+    while stack:
+        key, value = stack.pop()
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ContractError(f"{path}: key {key!r} holds the non-finite number {value}")
+        if isinstance(value, dict):
+            stack += value.items()
+        elif isinstance(value, list):
+            stack += ((key, v) for v in value)
+    return raw
+
+
+def _fits(value, hint) -> bool:
+    """Whether the JSON value ``value`` has the annotated type ``hint``: a
+    float takes an int within a float's range, only a bool takes a bool, a
+    tuple or list takes a list (or, from Python, a tuple) whose every element
+    fits, and ``X | None`` takes null."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, h) for h in args)
+    if origin in (tuple, list):
+        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
+    if isinstance(value, bool):  # an int subclass, but only a bool field takes one
+        return hint is bool
+    if hint is float:
+        return isinstance(value, float) or (
+            isinstance(value, int) and abs(value) <= sys.float_info.max
+        )
+    return isinstance(value, hint)
+
+
+def _check_fields(raw: dict, hints: dict, where: str, optional=()) -> None:
+    """Check the keys and value types of the JSON object ``raw`` against the
+    annotations ``hints``: unknown keys, missing keys (other than those in
+    ``optional``) and values that do not fit are each a ``ContractError``
+    naming ``where`` and the key."""
+    unknown = set(raw) - set(hints)
+    if unknown:
+        raise ContractError(f"{where}: unknown keys {sorted(unknown)}")
+    for key, hint in hints.items():
+        if key not in raw:
+            if key not in optional:
+                raise ContractError(f"{where}: missing key {key!r}")
+        elif not _fits(raw[key], hint):
+            expected = hint.__name__ if typing.get_origin(hint) is None else str(hint)
+            raise ContractError(f"{where}: key {key!r} holds {raw[key]!r:.60}, expected {expected}")
+
+
+# ---------------------------------------------------------------------------
 # synthetic dataset
 
 
@@ -158,9 +224,6 @@ class DatasetInfo:
     dims: int
     cases: list[str]
     seed: int
-
-
-_DATASET_KEYS = {"classes", "in_channels", "dims", "cases", "seed"}
 
 
 def _case_rng(seed: int, index: int) -> np.random.Generator:
@@ -245,30 +308,14 @@ def load_dataset(root) -> DatasetInfo:
     manifest_path = root / "dataset.json"
     if not manifest_path.exists():
         raise ContractError(f"{root}: no dataset.json — not a dataset directory")
-    try:
-        manifest = json.loads(manifest_path.read_bytes())
-    except (ValueError, RecursionError) as e:  # bad JSON or bad UTF-8
-        raise ContractError(f"{manifest_path}: not valid JSON ({e})") from e
-    if not isinstance(manifest, dict):
-        raise ContractError(
-            f"{manifest_path}: expected a JSON object, got {type(manifest).__name__}"
-        )
-    unknown = set(manifest) - _DATASET_KEYS
-    if unknown:
-        raise ContractError(f"{manifest_path}: unknown keys {sorted(unknown)}")
-    missing = _DATASET_KEYS - set(manifest)
-    if missing:
-        raise ContractError(f"{manifest_path}: missing keys {sorted(missing)}")
-    for key in ("classes", "in_channels", "dims", "seed"):
-        if not isinstance(manifest[key], int) or isinstance(manifest[key], bool):
-            raise ContractError(
-                f"{manifest_path}: key {key!r} has type {type(manifest[key]).__name__}, expected int"
-            )
-    cases = manifest["cases"]
-    if not isinstance(cases, list) or not cases or not all(isinstance(c, str) for c in cases):
+    manifest = _read_json_object(manifest_path)
+    hints = typing.get_type_hints(DatasetInfo)
+    del hints["root"]
+    _check_fields(manifest, hints, str(manifest_path))
+    if not manifest["cases"]:
         raise ContractError(f"{manifest_path}: key 'cases' must be a non-empty list of strings")
     # case ids become file names under images/ and labels/
-    for case_id in cases:
+    for case_id in manifest["cases"]:
         if case_id in ("", ".", "..") or any(c in case_id for c in ("/", os.sep, "\0")):
             raise ContractError(f"{manifest_path}: key 'cases' holds a bad case id {case_id!r}")
     if manifest["dims"] not in (2, 3):
@@ -281,14 +328,7 @@ def load_dataset(root) -> DatasetInfo:
         raise ContractError(
             f"{manifest_path}: key 'in_channels' must be >= 1, got {manifest['in_channels']}"
         )
-    return DatasetInfo(
-        root=root,
-        classes=manifest["classes"],
-        in_channels=manifest["in_channels"],
-        dims=manifest["dims"],
-        cases=cases,
-        seed=manifest["seed"],
-    )
+    return DatasetInfo(root=root, **manifest)
 
 
 def load_case(info: DatasetInfo, case_id: str):

@@ -18,8 +18,8 @@ attention-style sequence kernel legitimately feeds ``-inf`` log-weights into
 ``exp`` to encode causal masking, and exact zeros come out).  Instead,
 training is guarded by named checks at three points where a NaN would
 otherwise pass silently: the network output (``Network.forward``), the loss
-(``dice_ce_loss``) and every gradient (``adamw_step``).  ``log`` and
-``sqrt`` reject non-positive inputs, and the serial reference scan
+(``dice_ce_loss``) and every gradient (``adamw_step``).  ``log`` rejects
+non-positive inputs, and the serial reference scan
 ``vil.mlstm_sequence_serial`` checks its gates and readout at every step; the
 taped sequence kernel does not.
 """
@@ -39,10 +39,8 @@ __all__ = [
     "sub",
     "mul",
     "div",
-    "neg",
     "exp",
     "log",
-    "sqrt",
     "sigmoid",
     "silu",
     "leaky_relu",
@@ -61,7 +59,6 @@ __all__ = [
     "concat",
     "narrow",
     "split",
-    "pad",
 ]
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -168,7 +165,7 @@ class Tensor:
         return div(other, self)
 
     def __neg__(self):
-        return neg(self)
+        return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -403,12 +400,6 @@ def div(a, b) -> Tensor:
 # elementwise unary
 
 
-def neg(x: Tensor) -> Tensor:
-    _require_float(x, "neg")
-    out = Tensor(-x.data)
-    return record(out, (x,), lambda g: (-g,))
-
-
 def exp(x: Tensor) -> Tensor:
     _require_float(x, "exp")
     y = np.exp(x.data)
@@ -422,15 +413,6 @@ def log(x: Tensor) -> Tensor:
         raise NumericsError("log: inputs must be strictly positive")
     out = Tensor(np.log(x.data))
     return record(out, (x,), lambda g: (g / x.data,))
-
-
-def sqrt(x: Tensor) -> Tensor:
-    _require_float(x, "sqrt")
-    if np.any(x.data <= 0):
-        raise NumericsError("sqrt: inputs must be strictly positive (derivative at 0 diverges)")
-    y = np.sqrt(x.data)
-    out = Tensor(y)
-    return record(out, (x,), lambda g: (g / (2.0 * y),))
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -711,14 +693,3 @@ def split(x: Tensor, sections, axis: int) -> list[Tensor]:
         outs.append(narrow(x, ax, start, s))
         start += s
     return outs
-
-
-def pad(x: Tensor, pad_width) -> Tensor:
-    """Zero-pad; ``pad_width`` is one (before, after) pair per axis."""
-    _require_float(x, "pad")
-    pw = [(int(b), int(a)) for b, a in pad_width]
-    if len(pw) != x.ndim or any(b < 0 or a < 0 for b, a in pw):
-        raise ContractError(f"pad: need {x.ndim} non-negative (before, after) pairs, got {pad_width}")
-    out = Tensor(np.pad(x.data, pw))
-    core = tuple(slice(b, b + n) for (b, _), n in zip(pw, x.shape))
-    return record(out, (x,), lambda g: (g[core],))

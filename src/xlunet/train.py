@@ -1,7 +1,9 @@
 """Training, checkpointing, prediction and case evaluation.
 
-A run is described by a ``RunConfig`` (JSON on disk, strictly validated:
-unknown keys and wrong types are errors naming the field).  Training is
+A run is described by a ``RunConfig`` (JSON on disk, read by the same strict
+reader as ``dataset.json`` and checkpoint manifests: unknown keys, wrong
+types, list elements of the wrong type and NaN/infinity are errors naming
+the field).  Training is
 deterministic end to end for a fixed config: three independent RNG streams
 are derived from the run seed (spawn key 0 = parameter init, 1 = patch
 sampling, 2 = mirror augmentation), every checkpoint stores the exact
@@ -31,7 +33,6 @@ import json
 import os
 import sys
 import time
-import types
 import typing
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -41,6 +42,8 @@ import numpy as np
 
 from .data import (
     DatasetInfo,
+    _check_fields,
+    _read_json_object,
     load_case,
     load_dataset,
     read_xten,
@@ -132,19 +135,7 @@ class RunConfig:
         self.loss_config().validate(self.num_classes)
 
     def network_config(self) -> NetworkConfig:
-        return NetworkConfig(
-            in_channels=self.in_channels,
-            num_classes=self.num_classes,
-            patch_size=self.patch_size,
-            num_stages=self.num_stages,
-            base_channels=self.base_channels,
-            channel_cap=self.channel_cap,
-            variant=self.variant,
-            heads=self.heads,
-            expansion=self.expansion,
-            conv_width=self.conv_width,
-            seed=self.seed,
-        )
+        return NetworkConfig(**{f.name: getattr(self, f.name) for f in fields(NetworkConfig)})
 
     def adamw_config(self) -> AdamWConfig:
         return AdamWConfig(
@@ -169,52 +160,22 @@ class RunConfig:
         return d
 
 
-def _json_types(hint) -> tuple[type, ...]:
-    """The JSON value types a ``RunConfig`` field takes: its own type, a list
-    for a tuple, an int for a float, and null for an ``X | None`` field."""
-    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
-    out: list[type] = []
-    for t in typing.get_args(hint) if union else (hint,):
-        t = typing.get_origin(t) or t
-        out += {tuple: [list, tuple], float: [int, float]}.get(t, [t])
-    return tuple(out)
-
-
-_FIELD_TYPES = {
-    name: _json_types(hint) for name, hint in typing.get_type_hints(RunConfig).items()
-}
-_REQUIRED_FIELDS = tuple(f.name for f in fields(RunConfig) if f.default is MISSING)
-
-
 def run_config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ContractError(f"run config must be a JSON object, got {type(raw).__name__}")
-    unknown = set(raw) - set(_FIELD_TYPES)
-    if unknown:
-        raise ContractError(f"run config: unknown keys {sorted(unknown)}")
-    missing = [k for k in _REQUIRED_FIELDS if k not in raw]
-    if missing:
-        raise ContractError(f"run config: missing required keys {missing}")
-    for key, value in raw.items():
-        expected = _FIELD_TYPES[key]
-        # bool is an int subclass; only a bool field takes one
-        if not isinstance(value, expected) or (isinstance(value, bool) and bool not in expected):
-            names = " or ".join(t.__name__ for t in expected)
-            raise ContractError(
-                f"run config: field {key!r} has type {type(value).__name__}, expected {names}"
-            )
+    optional = [f.name for f in fields(RunConfig) if f.default is not MISSING]
+    _check_fields(raw, typing.get_type_hints(RunConfig), "run config", optional)
     cfg = RunConfig(**raw)
     cfg.validate()
     return cfg
 
 
 def load_run_config(path) -> RunConfig:
-    with open(path) as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ContractError(f"{path}: not valid JSON ({e})") from e
-    return run_config_from_dict(raw)
+    raw = _read_json_object(path)
+    try:
+        return run_config_from_dict(raw)
+    except ContractError as e:
+        raise ContractError(f"{path}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +225,21 @@ def _one_state(net: Network, opt_state: AdamWState):
         del _EPOCH_STATE[key]
 
 
+class _Manifest(typing.TypedDict):
+    """The keys of ``manifest.json`` and their JSON types."""
+
+    format: str
+    config: dict
+    epochs_completed: int
+    global_step: int
+    best_loss: float
+    rng: dict
+    step_count: int
+    layout: list
+    state: str
+    sha256: str
+
+
 def save_checkpoint(
     ckpt_dir,
     net: Network,
@@ -278,9 +254,7 @@ def save_checkpoint(
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     state, digest = _checkpoint_state(net, opt_state)
     state_name = f"state-{digest[:16]}.xten"
-    write_xten(ckpt_dir / "state.xten.tmp", state)
-    _replace_synced(ckpt_dir / "state.xten.tmp", ckpt_dir / state_name)
-    manifest = {
+    manifest: _Manifest = {
         "format": _CKPT_FORMAT,
         "config": cfg.to_dict(),
         "epochs_completed": epochs_completed,
@@ -292,27 +266,15 @@ def save_checkpoint(
         "state": state_name,
         "sha256": digest,
     }
-    with open(ckpt_dir / "manifest.json.tmp", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    # a NaN or infinity, which the reader rejects, fails here before any write
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    write_xten(ckpt_dir / "state.xten.tmp", state)
+    _replace_synced(ckpt_dir / "state.xten.tmp", ckpt_dir / state_name)
+    (ckpt_dir / "manifest.json.tmp").write_text(text)
     _replace_synced(ckpt_dir / "manifest.json.tmp", ckpt_dir / "manifest.json")
     for old in ckpt_dir.glob("state-*.xten"):
         if old.name != state_name:
             old.unlink()
-
-
-# manifest key -> the JSON types it must have; bool is excluded from int
-_MANIFEST_KEYS = {
-    "config": (dict,),
-    "epochs_completed": (int,),
-    "global_step": (int,),
-    "best_loss": (int, float),
-    "rng": (dict,),
-    "step_count": (int,),
-    "layout": (list,),
-    "state": (str,),
-    "sha256": (str,),
-}
 
 
 def load_checkpoint(ckpt_dir) -> dict:
@@ -322,27 +284,12 @@ def load_checkpoint(ckpt_dir) -> dict:
     manifest_path = ckpt_dir / "manifest.json"
     if not manifest_path.exists():
         raise ContractError(f"{ckpt_dir}: no manifest.json — not a checkpoint directory")
-    try:
-        manifest = json.loads(manifest_path.read_bytes())
-    except (ValueError, RecursionError) as e:  # bad JSON or bad UTF-8
-        raise ContractError(f"{manifest_path}: not valid JSON ({e})") from e
-    if not isinstance(manifest, dict):
-        raise ContractError(
-            f"{manifest_path}: expected a JSON object, got {type(manifest).__name__}"
-        )
+    manifest = _read_json_object(manifest_path)
     if manifest.get("format") != _CKPT_FORMAT:
         raise ContractError(
             f"{ckpt_dir}: unsupported checkpoint format {manifest.get('format')!r}"
         )
-    for key, expected in _MANIFEST_KEYS.items():
-        if key not in manifest:
-            raise ContractError(f"{manifest_path}: missing key {key!r}")
-        value = manifest[key]
-        if not isinstance(value, expected) or isinstance(value, bool):
-            names = " or ".join(t.__name__ for t in expected)
-            raise ContractError(
-                f"{manifest_path}: key {key!r} has type {type(value).__name__}, expected {names}"
-            )
+    _check_fields(manifest, typing.get_type_hints(_Manifest), str(manifest_path))
     digest = manifest["sha256"]
     if len(digest) != 64 or any(c not in "0123456789abcdef" for c in digest):
         raise ContractError(f"{manifest_path}: key 'sha256' is not a SHA-256 hex digest")

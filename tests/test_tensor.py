@@ -99,7 +99,6 @@ def test_unary_values(rng):
     t = Tensor(x)
     np.testing.assert_allclose(T.exp(t).data, np.exp(x))
     np.testing.assert_allclose(T.log(t).data, np.log(x))
-    np.testing.assert_allclose(T.sqrt(t).data, np.sqrt(x))
     np.testing.assert_allclose(T.sigmoid(t).data, 1 / (1 + np.exp(-x)))
     np.testing.assert_allclose(T.silu(t).data, x / (1 + np.exp(-x)))
     np.testing.assert_allclose(T.absolute(Tensor(-x)).data, x)
@@ -108,8 +107,6 @@ def test_unary_values(rng):
 def test_log_rejects_nonpositive():
     with pytest.raises(T.NumericsError):
         T.log(Tensor(np.array([1.0, 0.0], dtype=np.float32)))
-    with pytest.raises(T.NumericsError):
-        T.sqrt(Tensor(np.array([-1.0], dtype=np.float32)))
 
 
 def test_sigmoid_extreme_inputs_are_stable():
@@ -216,9 +213,6 @@ def test_shape_ops(rng):
     np.testing.assert_array_equal(T.flip(t, 1).data, np.flip(x, axis=1))
     got = T.reshape_permute(t, (3, 8), (1, 0, 2))
     np.testing.assert_array_equal(got.data, x.transpose(1, 0, 2).reshape(3, 8))
-    np.testing.assert_array_equal(
-        T.pad(t, ((0, 0), (1, 2), (0, 1))).data, np.pad(x, ((0, 0), (1, 2), (0, 1)))
-    )
 
 
 def test_narrow_and_split(rng):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xlunet.train as train
@@ -103,6 +103,10 @@ def test_wrong_types_named():
         {"learning_rate": True},  # bool is an int subclass, but not a number here
         {"early_stop_interval": None},  # not an X | None field
         {"batch_size": False},
+        {"patch_size": [32.9, 32]},  # every element of a tuple field is checked
+        {"patch_size": [True, 32]},
+        {"patch_size": ["a", 32]},
+        {"class_weights": [True, 1, 1]},
     ]
     for extra in rejected:
         key = next(iter(extra))
@@ -125,6 +129,23 @@ def test_bad_json_is_contract_error(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
     with pytest.raises(ContractError, match="JSON"):
+        load_run_config(p)
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ('"learning_rate": NaN', "learning_rate"),
+        ('"adam_eps": Infinity', "adam_eps"),
+        ('"class_weights": [1, Infinity, 1]', "class_weights"),
+        ('"learning_rate": 1e999', "learning_rate"),  # overflows to inf
+        ('"learning_rate": 1%s' % ("0" * 400), "learning_rate"),  # an int no float holds
+    ],
+)
+def test_non_finite_config_numbers_rejected(tmp_path, text, key):
+    p = tmp_path / "run.json"
+    p.write_text('{"patch_size": [32, 32], "num_classes": 3, %s}' % text)
+    with pytest.raises(ContractError, match=key):
         load_run_config(p)
 
 
@@ -336,6 +357,19 @@ def test_manifest_without_config_is_named(checkpoint):
             load_checkpoint(d)
 
 
+@example(b"\xff{}")  # not UTF-8
+@example(b"[" * 100_000)  # nested deeper than the parser recurses
+@given(st.one_of(st.binary(max_size=200), st.text(max_size=100).map(str.encode)))
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_run_config_bytes_raise_named_errors(tmp_path_factory, blob):
+    p = tmp_path_factory.getbasetemp() / "fuzz_run.json"
+    p.write_bytes(blob)
+    try:
+        load_run_config(p)
+    except ContractError as e:
+        assert "fuzz_run.json" in str(e)
+
+
 @given(st.one_of(st.binary(max_size=200), st.text(max_size=100).map(str.encode)))
 @settings(max_examples=150, deadline=None)
 def test_fuzzed_manifest_bytes_raise_named_errors(checkpoint, blob):
@@ -372,6 +406,21 @@ def test_fuzzed_state_file_raises_named_errors(checkpoint, change):
         fuzzed[bit // 8] ^= 1 << (bit % 8)
         fuzzed = bytes(fuzzed)
     assert not _restore_from(json.dumps(manifest).encode(), fuzzed, manifest["state"])
+
+
+def test_non_finite_best_loss_is_rejected(checkpoint, tmp_path):
+    manifest, state = checkpoint
+    (tmp_path / "manifest.json").write_text(json.dumps({**manifest, "best_loss": float("nan")}))
+    (tmp_path / manifest["state"]).write_bytes(state)
+    with pytest.raises(ContractError, match="best_loss"):
+        load_checkpoint(tmp_path)
+    # and the writer cannot produce one
+    cfg = _tiny_cfg()
+    net = build_network(cfg.network_config())
+    with pytest.raises(ValueError):
+        train.save_checkpoint(tmp_path / "w", net, init_adamw(net.params), cfg, 1, 2,
+                              float("nan"), {"sampling": {}, "augment": {}})
+    assert not any((tmp_path / "w").iterdir())
 
 
 def test_v1_checkpoint_is_rejected(tmp_path):
