@@ -223,12 +223,13 @@ def conv_nd(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1, padding=
     if bias is not None:
         y += bias.data.reshape((1, cout) + (1,) * rank)
     out = Tensor(y)
+    wd, x_grad, has_bias = w.data, x.requires_grad, bias is not None
 
     def vjp(g):
         _, gw = _patch_gemm(xp, k, stride, out_sp, g=g)
-        gw = gw.reshape(w.shape)
-        gx = _conv_t(g, w.data, stride, padding, sp) if x.requires_grad else None
-        if bias is None:
+        gw = gw.reshape(wd.shape)
+        gx = _conv_t(g, wd, stride, padding, sp) if x_grad else None
+        if not has_bias:
             return gx, gw
         return gx, gw, g.sum(axis=(0,) + tuple(range(2, 2 + rank)))
 
@@ -285,14 +286,15 @@ def conv_transpose_nd(
     if bias is not None:
         y += bias.data.reshape((1, cout) + (1,) * rank)
     out = Tensor(y)
+    xd, has_bias = x.data, bias is not None
+    w2 = w.data.reshape(cin, -1) if x.requires_grad else None
 
     def vjp(g):
         padded = tuple(n + 2 * p for n, p in zip(out_sp, padding))
         gp = _window(g, tuple(-p for p in padding), padded)
-        w2 = w.data.reshape(cin, -1) if x.requires_grad else None
-        gx, gw = _patch_gemm(gp, k, stride, sp, lhs=w2, g=x.data)
-        gw = gw.reshape(w.shape)
-        if bias is None:
+        gx, gw = _patch_gemm(gp, k, stride, sp, lhs=w2, g=xd)
+        gw = gw.reshape((cin, cout) + k)
+        if not has_bias:
             return gx, gw
         return gx, gw, g.sum(axis=(0,) + tuple(range(2, 2 + rank)))
 
@@ -328,15 +330,16 @@ def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tens
     if bias is not None:
         y = y + bias.data
     out = Tensor(y)
+    kd, has_bias = kernel.data, bias is not None
 
     def vjp(g):
         gxp = np.zeros_like(xp)
-        gk = np.empty_like(kernel.data)
+        gk = np.empty_like(kd)
         for tap in range(width):
-            gxp[:, tap : tap + length, :] += g * kernel.data[:, tap]
+            gxp[:, tap : tap + length, :] += g * kd[:, tap]
             gk[:, tap] = (g * xp[:, tap : tap + length, :]).sum(axis=(0, 1))
         gx = gxp[:, width - 1 :, :]
-        if bias is None:
+        if not has_bias:
             return gx, gk
         return gx, gk, g.sum(axis=(0, 1))
 
@@ -374,12 +377,13 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> 
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     gshape = (1, c) + (1,) * (x.ndim - 2)
-    out = Tensor(gamma.data.reshape(gshape) * xhat + beta.data.reshape(gshape))
+    gd = gamma.data.reshape(gshape)
+    out = Tensor(gd * xhat + beta.data.reshape(gshape))
 
     def vjp(g):
         ggamma = (g * xhat).sum(axis=(0,) + axes)
         gbeta = g.sum(axis=(0,) + axes)
-        gh = g * gamma.data.reshape(gshape)
+        gh = g * gd
         gh_mean = gh.mean(axis=axes, keepdims=True)
         ghx_mean = (gh * xhat).mean(axis=axes, keepdims=True)
         gx = inv * (gh - gh_mean - xhat * ghx_mean)
@@ -399,13 +403,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     var = np.mean(centered * centered, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
-    out = Tensor(gamma.data * xhat + beta.data)
+    gd = gamma.data
+    out = Tensor(gd * xhat + beta.data)
     lead = tuple(range(x.ndim - 1))
 
     def vjp(g):
         ggamma = (g * xhat).sum(axis=lead)
         gbeta = g.sum(axis=lead)
-        gh = g * gamma.data
+        gh = g * gd
         gh_mean = gh.mean(axis=-1, keepdims=True)
         ghx_mean = (gh * xhat).mean(axis=-1, keepdims=True)
         gx = inv * (gh - gh_mean - xhat * ghx_mean)

@@ -12,6 +12,14 @@ the contract here is deliberately strict:
   exactly; implicit numpy broadcasting is rejected on purpose.
 - ops record onto the innermost active ``Graph`` only when some input
   requires grad.  With no active graph they are plain numpy (inference).
+- the tape keeps no ``Tensor`` and no array of its own.  A node is the
+  output's token, one token per input (``None`` for an input that does not
+  require grad) and the VJP closure; a token is a plain object that the
+  recorded tensor carries and the graph keeps alive, so, unlike ``id()``, it
+  cannot be reused while the graph lives.  Each VJP captures only the arrays
+  its backward reads, plus shapes, dtypes and flags, never a ``Tensor``.  An
+  intermediate therefore lives only while a closure or the caller
+  references it: one that no backward reads is freed during the forward.
 
 Finiteness policy: ops do not sweep their outputs with ``isfinite`` (the
 attention-style sequence kernel legitimately feeds ``-inf`` log-weights into
@@ -85,7 +93,7 @@ class Tensor:
     Python floats/ints passed as ``data`` default to float32/int32.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_token")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -108,6 +116,9 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        # this tensor's key on a tape: set when an op records it as an
+        # output, or when it first enters a graph as a leaf
+        self._token: object | None = None
 
     # -- introspection -------------------------------------------------------
 
@@ -186,11 +197,18 @@ class Graph:
 
     A graph is single-use: ``backward`` consumes it.  Ops executed while no
     graph is active are not recorded at all.
+
+    The tape holds tokens and VJP closures only.  Each node is ``(out token,
+    input tokens, vjp)``, an input token being ``None`` when that input does
+    not require grad; an intermediate array stays alive only while a VJP
+    closure or the caller references it.  Leaves (requires-grad tensors that
+    entered the graph without being produced by it) are kept in ``_leaves``,
+    keyed by ``id``, to receive their gradients.
     """
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
-        self._produced: set[int] = set()
+        self._nodes: list[tuple[object, tuple[object | None, ...], object]] = []
+        self._produced: set[object] = set()
         self._leaves: dict[int, Tensor] = {}
         self._consumed = False
 
@@ -206,21 +224,31 @@ class Graph:
         _GRAPH_STACK.remove(self)
         return False
 
+    def _input_token(self, t: Tensor) -> object | None:
+        if not t.requires_grad:
+            return None
+        token = t._token
+        if token is None or token not in self._produced:
+            self._leaves.setdefault(id(t), t)
+            if token is None:
+                token = t._token = object()
+        return token
+
     def _add_node(self, out: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
-        for t in inputs:
-            if t.requires_grad and id(t) not in self._produced:
-                self._leaves.setdefault(id(t), t)
-        self._produced.add(id(out))
-        self._nodes.append((out, inputs, vjp))
+        tokens = tuple(self._input_token(t) for t in inputs)
+        token = out._token = object()
+        self._produced.add(token)
+        self._nodes.append((token, tokens, vjp))
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(leaf) into ``leaf.grad`` for every leaf.
 
         Leaves are the requires-grad tensors that entered the graph without
         being produced by it (parameters, checked inputs).  Leaves the loss
-        does not depend on receive zero gradients, not ``None``.  The sweep
-        drops each node as it passes it, so the tape and the intermediates
-        only it references are freed by the time ``backward`` returns.
+        does not depend on receive zero gradients, not ``None``.  Gradients
+        are keyed by token.  The sweep drops each node as it passes it, so
+        the VJP closures, and the arrays only they reference, are freed by
+        the time ``backward`` returns.
         """
         if self._consumed:
             raise GraphError("this graph was already consumed by backward(); record a fresh forward pass")
@@ -228,26 +256,31 @@ class Graph:
             raise ContractError("backward: loss must be a Tensor")
         if loss.size != 1:
             raise GraphError(f"backward: loss must be scalar, got shape {loss.shape}")
-        if id(loss) not in self._produced:
+        if not loss.requires_grad:
+            raise GraphError(
+                "backward: the loss does not depend on any tensor that requires grad"
+                " (or was computed while no graph was recording)"
+            )
+        if loss._token not in self._produced:
             raise GraphError(
                 "stale graph: the loss was not computed while this graph was recording"
             )
         self._consumed = True
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        grads: dict[object, np.ndarray] = {loss._token: np.ones_like(loss.data)}
         nodes = self._nodes
         while nodes:
             out, inputs, vjp = nodes.pop()
-            gout = grads.pop(id(out), None)
+            gout = grads.pop(out, None)
             if gout is None:
                 continue
             gins = vjp(gout)
-            for t, gin in zip(inputs, gins):
-                if gin is None or not t.requires_grad:
+            for token, gin in zip(inputs, gins):
+                if gin is None or token is None:
                     continue
-                acc = grads.get(id(t))
-                grads[id(t)] = gin if acc is None else acc + gin
-        for tid, leaf in self._leaves.items():
-            g = grads.get(tid)
+                acc = grads.get(token)
+                grads[token] = gin if acc is None else acc + gin
+        for leaf in self._leaves.values():
+            g = grads.get(leaf._token)
             if g is None:
                 g = np.zeros_like(leaf.data)
             else:
@@ -274,7 +307,9 @@ def record(out: Tensor, inputs: tuple[Tensor, ...], vjp) -> Tensor:
     """Attach ``out = op(inputs)`` to the active graph, if grads are wanted.
 
     ``vjp(gout)`` must return one cotangent per input (``None`` for inputs
-    that are not differentiable arguments).
+    that are not differentiable arguments or do not require grad).  It should
+    close over the arrays its backward reads, not over tensors: whatever it
+    captures lives until the sweep passes its node.
     """
     g = _active_graph()
     if g is None:
@@ -357,9 +392,10 @@ def _norm_axes(axis, ndim: int, op: str) -> tuple[int, ...]:
 def add(a, b) -> Tensor:
     a, b = _coerce_pair(a, b, "add")
     out = Tensor(a.data + b.data)
+    sa, sb = a.shape, b.shape
 
     def vjp(g):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+        return _reduce_to(g, sa), _reduce_to(g, sb)
 
     return record(out, (a, b), vjp)
 
@@ -367,9 +403,10 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _coerce_pair(a, b, "sub")
     out = Tensor(a.data - b.data)
+    sa, sb = a.shape, b.shape
 
     def vjp(g):
-        return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
+        return _reduce_to(g, sa), _reduce_to(-g, sb)
 
     return record(out, (a, b), vjp)
 
@@ -377,9 +414,14 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _coerce_pair(a, b, "mul")
     out = Tensor(a.data * b.data)
+    sa, sb = a.shape, b.shape
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def vjp(g):
-        return _reduce_to(g * b.data, a.shape), _reduce_to(g * a.data, b.shape)
+        ga = None if bd is None else _reduce_to(g * bd, sa)
+        gb = None if ad is None else _reduce_to(g * ad, sb)
+        return ga, gb
 
     return record(out, (a, b), vjp)
 
@@ -387,10 +429,13 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a, b = _coerce_pair(a, b, "div")
     out = Tensor(a.data / b.data)
+    sa, sb, a_grad = a.shape, b.shape, a.requires_grad
+    ad = a.data if b.requires_grad else None
+    bd = b.data
 
     def vjp(g):
-        ga = _reduce_to(g / b.data, a.shape)
-        gb = _reduce_to(-g * a.data / (b.data * b.data), b.shape)
+        ga = _reduce_to(g / bd, sa) if a_grad else None
+        gb = None if ad is None else _reduce_to(-g * ad / (bd * bd), sb)
         return ga, gb
 
     return record(out, (a, b), vjp)
@@ -411,8 +456,9 @@ def log(x: Tensor) -> Tensor:
     _require_float(x, "log")
     if np.any(x.data <= 0):
         raise NumericsError("log: inputs must be strictly positive")
-    out = Tensor(np.log(x.data))
-    return record(out, (x,), lambda g: (g / x.data,))
+    xd = x.data
+    out = Tensor(np.log(xd))
+    return record(out, (x,), lambda g: (g / xd,))
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -434,18 +480,20 @@ def sigmoid(x: Tensor) -> Tensor:
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x)."""
     _require_float(x, "silu")
-    s = _stable_sigmoid(x.data)
-    out = Tensor(x.data * s)
-    return record(out, (x,), lambda g: (g * s * (1.0 + x.data * (1.0 - s)),))
+    xd = x.data
+    s = _stable_sigmoid(xd)
+    out = Tensor(xd * s)
+    return record(out, (x,), lambda g: (g * s * (1.0 + xd * (1.0 - s)),))
 
 
 def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
     _require_float(x, "leaky_relu")
     pos = x.data > 0
     out = Tensor(np.where(pos, x.data, negative_slope * x.data))
+    dtype = x.data.dtype
 
     def vjp(g):
-        return (g * np.where(pos, np.asarray(1.0, x.data.dtype), np.asarray(negative_slope, x.data.dtype)),)
+        return (g * np.where(pos, np.asarray(1.0, dtype), np.asarray(negative_slope, dtype)),)
 
     return record(out, (x,), vjp)
 
@@ -453,8 +501,9 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
 def absolute(x: Tensor) -> Tensor:
     """|x|; subgradient 0 at x == 0."""
     _require_float(x, "absolute")
-    out = Tensor(np.abs(x.data))
-    return record(out, (x,), lambda g: (g * np.sign(x.data),))
+    xd = x.data
+    out = Tensor(np.abs(xd))
+    return record(out, (x,), lambda g: (g * np.sign(xd),))
 
 
 def max_with_scalar(x: Tensor, floor: float) -> Tensor:
@@ -493,10 +542,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as e:
         raise ContractError(f"matmul: batch dims incompatible: {a.shape} @ {b.shape}") from e
     out = Tensor(np.matmul(a.data, b.data))
+    sa, sb = a.shape, b.shape
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def vjp(g):
-        ga = _reduce_to(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        gb = _reduce_to(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        ga = None if bd is None else _reduce_to(np.matmul(g, np.swapaxes(bd, -1, -2)), sa)
+        gb = None if ad is None else _reduce_to(np.matmul(np.swapaxes(ad, -1, -2), g), sb)
         return ga, gb
 
     return record(out, (a, b), vjp)
@@ -510,11 +562,12 @@ def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     _require_float(x, "reduce_sum")
     axes = _norm_axes(axis, x.ndim, "reduce_sum")
     out = Tensor(x.data.sum(axis=axes, keepdims=keepdims))
+    shape = x.shape
 
     def vjp(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, x.shape),)
+        return (np.broadcast_to(g, shape),)
 
     return record(out, (x,), vjp)
 
@@ -524,11 +577,12 @@ def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axes = _norm_axes(axis, x.ndim, "reduce_mean")
     count = int(np.prod([x.shape[a] for a in axes])) if axes else 1
     out = Tensor(x.data.mean(axis=axes, keepdims=keepdims))
+    shape = x.shape
 
     def vjp(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, x.shape) / count,)
+        return (np.broadcast_to(g, shape) / count,)
 
     return record(out, (x,), vjp)
 
@@ -574,8 +628,8 @@ def reshape(x: Tensor, shape) -> Tensor:
         y = x.data.reshape(shape)
     except ValueError as e:
         raise ContractError(f"reshape: cannot view shape {x.shape} as {shape}") from e
-    out = Tensor(y)
-    return record(out, (x,), lambda g: (g.reshape(x.shape),))
+    out, in_shape = Tensor(y), x.shape
+    return record(out, (x,), lambda g: (g.reshape(in_shape),))
 
 
 def permute(x: Tensor, axes) -> Tensor:
@@ -616,8 +670,8 @@ def broadcast_to(x: Tensor, shape) -> Tensor:
         y = np.broadcast_to(x.data, shape)
     except ValueError as e:
         raise ContractError(f"broadcast_to: cannot broadcast {x.shape} to {shape}") from e
-    out = Tensor(y)
-    return record(out, (x,), lambda g: (_reduce_to(g, x.shape),))
+    out, in_shape = Tensor(y), x.shape
+    return record(out, (x,), lambda g: (_reduce_to(g, in_shape),))
 
 
 def flip(x: Tensor, axes) -> Tensor:
@@ -666,9 +720,10 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
         )
     sl = tuple(slice(None) if i != ax else slice(start, start + length) for i in range(x.ndim))
     out = Tensor(x.data[sl].copy())
+    shape, dtype = x.shape, x.data.dtype
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype)
         gx[sl] = g
         return (gx,)
 

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+import xlunet.nnops as N
 import xlunet.tensor as T
 from xlunet.gradcheck import corrupted_backward, finite_diff_check, run_checks
 from xlunet.tensor import ContractError, Graph, GraphError, Tensor, backward
@@ -138,6 +139,61 @@ def test_backward_releases_the_tape():
         backward(loss, g)
 
 
+def test_forward_releases_what_no_backward_reads():
+    # h feeds only add's and exp's backwards, which read shapes and exp's
+    # output: once the caller drops h, nothing keeps its array alive
+    x = _leaf([0.5, -1.0, 2.0])
+    with Graph() as g:
+        h = T.add(x, x)
+        loss = T.reduce_sum(T.exp(h))
+    intermediate = weakref.ref(h.data)
+    del h
+    gc.collect()
+    assert intermediate() is None
+    backward(loss, g)
+    np.testing.assert_array_equal(x.grad, 2.0 * np.exp(x.data + x.data))
+
+
+def test_long_chain_with_reused_ids_routes_exactly():
+    # y_{n+1} = c * y_n + x with every intermediate dropped as the loop runs,
+    # so CPython hands their ids to later tensors; with c = (1, -1) the
+    # gradient of sum(y_N) is exactly (N + 1, 1) for even N
+    steps = 1000
+    x = _leaf([3.0, 3.0])
+    c = Tensor(np.array([1.0, -1.0]))
+    ids = []
+    with Graph() as g:
+        y = x
+        for _ in range(steps):
+            scaled = T.mul(y, c)
+            y = T.add(scaled, x)
+            ids += [id(scaled), id(y)]
+            del scaled
+        loss = T.reduce_sum(y)
+    assert len(set(ids)) < len(ids)  # the hazard is really exercised
+    backward(loss, g)
+    np.testing.assert_array_equal(x.grad, [steps + 1.0, 1.0])
+
+
+def test_no_vjp_closes_over_a_tensor(monkeypatch):
+    # a VJP that captures a Tensor pins its data (and its gradient
+    # metadata) until the sweep reaches it, whether or not it reads it
+    real_record = T.record
+    offenders = []
+
+    def checked_record(out, inputs, vjp):
+        cells = vjp.__closure__ or ()
+        if any(isinstance(cell.cell_contents, Tensor) for cell in cells):
+            offenders.append(vjp.__qualname__)
+        return real_record(out, inputs, vjp)
+
+    monkeypatch.setattr(T, "record", checked_record)
+    monkeypatch.setattr(N, "record", checked_record)
+    results = run_checks()
+    assert all(r.passed for r in results)
+    assert not offenders, sorted(set(offenders))
+
+
 def test_backward_requires_scalar_loss():
     x = _leaf([1.0, 2.0])
     with Graph() as g:
@@ -152,6 +208,16 @@ def test_backward_on_foreign_tensor():
         _ = T.reduce_sum(x)
     other = Tensor(np.array(0.0, dtype=np.float64), requires_grad=True)
     with pytest.raises(GraphError):
+        backward(other, g)
+
+
+def test_backward_names_a_loss_that_needs_no_grad():
+    with Graph() as g:
+        loss = T.reduce_sum(Tensor(np.ones(3)))
+    with pytest.raises(GraphError, match="does not depend on any tensor that requires grad"):
+        backward(loss, g)
+    other = Tensor(np.array(0.0, dtype=np.float64), requires_grad=True)
+    with pytest.raises(GraphError, match="stale graph: the loss was not computed"):
         backward(other, g)
 
 

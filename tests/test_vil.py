@@ -1,5 +1,8 @@
 """Matrix-memory sequence cell and its block wrappers."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -192,6 +195,29 @@ def test_volume_to_sequence_is_row_major(rng):
     x = np.arange(6, dtype=np.float32).reshape(1, 1, 2, 3)
     view = volume_to_sequence(Tensor(x))
     np.testing.assert_array_equal(view.seq.data[0, :, 0], np.arange(6))
+
+
+def test_quadratic_form_keeps_few_full_arrays_for_backward(rng):
+    # of the (B, H, L, L) arrays the taped quadratic form computes, its
+    # backward reads only decay, scores and weights; the tape must not keep
+    # the rest alive between forward and backward
+    b, length, e, h = 2, 128, 16, 4
+    p = _params(rng, e=e, h=h)
+    seq = Tensor(rng.normal(size=(b, length, e)), requires_grad=True)
+    full = b * h * length * length * np.dtype(np.float64).itemsize
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with T.Graph() as g:
+            loss = T.reduce_sum(mlstm_sequence(seq, p))
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert live / full < 4, f"{live / full:.2f} full (B, H, L, L) arrays live before backward"
+    T.backward(loss, g)
+    assert np.isfinite(seq.grad).all()
 
 
 # ---------------------------------------------------------------------------
