@@ -245,10 +245,11 @@ class Graph:
 
         Leaves are the requires-grad tensors that entered the graph without
         being produced by it (parameters, checked inputs).  Leaves the loss
-        does not depend on receive zero gradients, not ``None``.  Gradients
-        are keyed by token.  The sweep drops each node as it passes it, so
-        the VJP closures, and the arrays only they reference, are freed by
-        the time ``backward`` returns.
+        does not depend on receive zero gradients, not ``None``.  Each
+        leaf's gradient is writeable and shares no memory with another's.
+        Gradients are keyed by token.  The sweep drops each node as it
+        passes it, so the VJP closures, and the arrays only they reference,
+        are freed by the time ``backward`` returns.
         """
         if self._consumed:
             raise GraphError("this graph was already consumed by backward(); record a fresh forward pass")
@@ -279,13 +280,24 @@ class Graph:
                     continue
                 acc = grads.get(token)
                 grads[token] = gin if acc is None else acc + gin
+        held = set()  # ids of the buffers that leaf gradients already hold
         for leaf in self._leaves.values():
             g = grads.get(leaf._token)
             if g is None:
                 g = np.zeros_like(leaf.data)
             else:
                 g = np.asarray(g, dtype=leaf.data.dtype).reshape(leaf.shape)
-            leaf.grad = g if leaf.grad is None else leaf.grad + g
+            if leaf.grad is not None:
+                leaf.grad = leaf.grad + g
+                continue
+            # a broadcast cotangent is a read-only view, and one VJP may hand
+            # the same array to several inputs: copy only those
+            owner = id(g if g.base is None else g.base)
+            if not g.flags.writeable or owner in held:
+                g = g.copy()
+            else:
+                held.add(owner)
+            leaf.grad = g
 
 
 _GRAPH_STACK: list[Graph] = []
@@ -548,7 +560,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g):
         ga = None if bd is None else _reduce_to(np.matmul(g, np.swapaxes(bd, -1, -2)), sa)
-        gb = None if ad is None else _reduce_to(np.matmul(np.swapaxes(ad, -1, -2), g), sb)
+        if ad is None:
+            gb = None
+        elif len(sb) == 2 and ad.ndim > 2 and ad.flags.c_contiguous:
+            # a 2-d weight: one GEMM over the flattened leading axes instead of
+            # a batch of small ones summed afterwards
+            gb = ad.reshape(-1, sb[0]).T @ g.reshape(-1, sb[1])
+        else:
+            gb = _reduce_to(np.matmul(np.swapaxes(ad, -1, -2), g), sb)
         return ga, gb
 
     return record(out, (a, b), vjp)

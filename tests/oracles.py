@@ -68,6 +68,32 @@ def conv_nd_loops(x, w, bias=None, stride=1, padding=0):
     return out
 
 
+def conv_weight_grad_loops(x, g, k, stride=1, padding=0):
+    """Weight cotangent of ``conv_nd_loops``: gw[co, ci, tap] is the sum over
+    batch and output positions p of g[b, co, p] * xp[b, ci, p*stride + tap],
+    xp the zero-padded x.  x: (B, Cin, *sp), g: (B, Cout, *out)."""
+    x = np.asarray(x, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    rank = x.ndim - 2
+    k = (k,) * rank if np.isscalar(k) else tuple(k)
+    stride = (stride,) * rank if np.isscalar(stride) else tuple(stride)
+    padding = (padding,) * rank if np.isscalar(padding) else tuple(padding)
+    b_, cin = x.shape[:2]
+    cout, out_sp = g.shape[1], g.shape[2:]
+    xp = np.pad(x, [(0, 0), (0, 0)] + [(p, p) for p in padding])
+    gw = np.zeros([cout, cin] + list(k))
+    for co in range(cout):
+        for ci in range(cin):
+            for tap in np.ndindex(*k):
+                s = 0.0
+                for bi in range(b_):
+                    for pos in np.ndindex(*out_sp):
+                        idx = tuple(pos[d] * stride[d] + tap[d] for d in range(rank))
+                        s += g[(bi, co) + pos] * xp[(bi, ci) + idx]
+                gw[(co, ci) + tap] = s
+    return gw
+
+
 def conv_transpose_nd_loops(x, w, bias=None, stride=1, padding=0, output_size=None):
     """Direct scatter transposed convolution.  x: (B, Cin, *sp), w: (Cin, Cout, *k)."""
     x = np.asarray(x, dtype=np.float64)

@@ -230,6 +230,29 @@ def test_grads_accumulate_across_backward_calls():
     np.testing.assert_allclose(x.grad, 4.0 * x.data)
 
 
+def test_leaf_grad_from_a_broadcast_is_writeable():
+    # reduce_sum's cotangent is a read-only zero-stride broadcast view
+    x = _leaf([[1.0, 2.0], [3.0, 4.0]])
+    with Graph() as g:
+        loss = T.reduce_sum(x)
+    backward(loss, g)
+    x.grad *= 2.0
+    np.testing.assert_array_equal(x.grad, np.full((2, 2), 2.0))
+
+
+def test_leaf_grads_share_no_memory():
+    # add hands one cotangent array to both of its inputs
+    x = _leaf([[1.0, 2.0], [3.0, 4.0]])
+    y = _leaf([[5.0, 6.0], [7.0, 8.0]])
+    c = Tensor(np.array([[2.0, 3.0], [4.0, 5.0]]))
+    with Graph() as g:
+        loss = T.reduce_sum(T.mul(T.add(x, y), c))
+    backward(loss, g)
+    x.grad[0, 0] = 100.0
+    np.testing.assert_array_equal(y.grad, c.data)
+    np.testing.assert_array_equal(x.grad, [[100.0, 3.0], [4.0, 5.0]])
+
+
 def test_dead_branch_leaf_gets_zero_grad():
     x = _leaf([1.0, 2.0])
     unused = _leaf([5.0])

@@ -1,5 +1,7 @@
 """Convolution / normalization / softmax forward values and adjoint identities."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -10,7 +12,7 @@ import xlunet.tensor as T
 from xlunet.gradcheck import finite_diff_check
 from xlunet.tensor import ContractError, Graph, Tensor, backward
 
-from oracles import conv_nd_loops, conv_transpose_nd_loops
+from oracles import conv_nd_loops, conv_transpose_nd_loops, conv_weight_grad_loops
 
 
 def _t(arr, grad=False):
@@ -310,8 +312,10 @@ def test_conv_several_slabs_equal_one_slab(rng, monkeypatch, stride, padding):
         return N.conv_nd(x, w, stride=stride, padding=padding)
 
     one = _conv_grads(x0, w0, wt0, conv)
-    # two output rows of patches per slab: 9, 7 or 5 rows end in a short slab
-    row_bytes = 2 * 3 * 27 * out_sp[1] * out_sp[2] * 8
+    # two output rows of patches per slab: 9, 7 or 5 rows end in a short slab;
+    # at stride 1 a patch row spans the whole padded width, k - 1 past the output
+    width = out_sp[2] + (2 if stride == 1 else 0)
+    row_bytes = 2 * 3 * 27 * out_sp[1] * width * 8
     monkeypatch.setattr(N, "_SLAB_BYTES", 2 * row_bytes + 1)
     slab_widths = []
     real_slabs = N._slabs
@@ -325,7 +329,7 @@ def test_conv_several_slabs_equal_one_slab(rng, monkeypatch, stride, padding):
     monkeypatch.setattr(N, "_slabs", counted_slabs)
     many = _conv_grads(x0, w0, wt0, conv)
     fwd = slab_widths[0]  # forward: 2 output rows per slab, then the short rest
-    assert len(fwd) > 2 and set(fwd[:-1]) == {2 * out_sp[1] * out_sp[2]} and fwd[-1] < fwd[0]
+    assert len(fwd) > 2 and set(fwd[:-1]) == {2 * out_sp[1] * width} and fwd[-1] < fwd[0]
     for a, b in zip(one, many):
         np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
     want = conv_nd_loops(x0, w0, stride=stride, padding=padding)
@@ -405,6 +409,40 @@ def test_adjoint_is_one_route_for_every_geometry(geometry):
     backward(loss, g)
     assert c.shape[2:] == sp
     np.testing.assert_allclose(z.grad, y.data, rtol=1e-10, atol=1e-10)
+
+
+@given(_adjoint_geometry(), st.integers(1, 3), st.booleans())
+@example((3, (3, 3, 3), (1, 1, 1), (1, 1, 1), (1, 1, 1), (1, 1, 1)), 2, False)  # the 1^3 bottleneck
+@example((3, (3, 3, 3), (2, 2, 2), (1, 1, 1), (1, 1, 1), (2, 2, 2)), 1, False)  # one column, batch 1
+@example((3, (1, 1, 1), (1, 1, 1), (0, 0, 0), (1, 1, 1), (1, 1, 1)), 2, False)  # one tap, one column
+@example((2, (3, 3), (1, 1), (1, 1), (5, 4), (5, 4)), 3, True)  # whole rows, short last slab
+def test_weight_cotangents_match_the_loop_oracle(geometry, batch, short_slabs):
+    # conv_nd(z, w) read back against x, and conv_transpose_nd(x, w) against
+    # z, have the same weight cotangent: <conv(z, w), x> == <z, convT(x, w)>
+    rank, k, stride, padding, sp, out_sp = geometry
+    rng = np.random.default_rng(sum(k) + 7 * sum(stride) + 31 * sum(sp) + batch)
+    x0 = rng.normal(size=(batch, 2) + sp)
+    z0 = rng.normal(size=(batch, 2) + out_sp)
+    w0 = rng.normal(size=(2, 2) + k)
+    # both weight cotangents slab the same patches: B x 2 channels x k taps,
+    # over output rows as wide as the route makes them
+    grid = N._patch_grid(k, stride, sp)
+    row_bytes = batch * 2 * math.prod(k) * math.prod(grid[1:]) * 8
+    w, wt = _t(w0, grad=True), _t(w0, grad=True)
+    with pytest.MonkeyPatch.context() as mp:
+        if short_slabs:  # two rows per slab, and a short last one at odd sp[0]
+            mp.setattr(N, "_SLAB_BYTES", 2 * row_bytes + 1)
+        with Graph() as g:
+            c = N.conv_nd(_t(z0), w, stride=stride, padding=padding)
+            loss = T.reduce_sum(T.mul(c, _t(x0)))
+        backward(loss, g)
+        with Graph() as g:
+            y = N.conv_transpose_nd(_t(x0), wt, stride=stride, padding=padding, output_size=out_sp)
+            loss = T.reduce_sum(T.mul(y, _t(z0)))
+        backward(loss, g)
+    want = conv_weight_grad_loops(z0, x0, k, stride=stride, padding=padding)
+    np.testing.assert_allclose(w.grad, want, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(wt.grad, want, rtol=1e-10, atol=1e-10)
 
 
 def test_one_tap_stride1_patches_are_the_input(rng):

@@ -170,6 +170,38 @@ def test_matmul_batched_broadcast(rng):
     np.testing.assert_allclose(out.data, a @ b, rtol=1e-5)
 
 
+@pytest.mark.parametrize(
+    "a_shape,b_shape,swap_a",
+    [
+        ((2, 1, 8), (8, 5), False),  # L=1, as at the bot network's sequence block
+        ((4, 4, 8), (8, 5), False),
+        ((2, 3, 4, 8), (8, 5), False),
+        ((2, 8, 4), (8, 5), True),  # a non-contiguous a keeps the batched route
+        ((2, 4, 8), (2, 8, 5), False),  # N-d @ N-d is unchanged
+        ((3, 1, 4, 8), (2, 8, 5), False),
+    ],
+)
+def test_matmul_cotangents_match_the_batched_formula(rng, a_shape, b_shape, swap_a):
+    a0 = rng.normal(size=a_shape)
+    if swap_a:
+        a0 = np.swapaxes(a0, -1, -2)
+    b0 = rng.normal(size=b_shape)
+    a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
+    u = rng.normal(size=np.broadcast_shapes(a0.shape[:-2], b0.shape[:-2]) + (a0.shape[-2], b0.shape[-1]))
+    with Graph() as g:
+        loss = T.reduce_sum(T.mul(T.matmul(a, b), Tensor(u)))
+    backward(loss, g)
+
+    def summed_to(arr, shape):
+        arr = arr.sum(axis=tuple(range(arr.ndim - len(shape))))
+        return arr.sum(axis=tuple(i for i, n in enumerate(shape) if n == 1), keepdims=True)
+
+    want_a = summed_to(np.matmul(u, np.swapaxes(b0, -1, -2)), a0.shape)
+    want_b = summed_to(np.matmul(np.swapaxes(a0, -1, -2), u), b0.shape)
+    np.testing.assert_allclose(a.grad, want_a, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(b.grad, want_b, rtol=1e-12, atol=1e-12)
+
+
 def test_matmul_rejects_vectors():
     with pytest.raises(ContractError):
         T.matmul(Tensor(np.ones(3, dtype=np.float32)), Tensor(np.ones((3, 2), dtype=np.float32)))
