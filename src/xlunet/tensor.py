@@ -20,6 +20,19 @@ the contract here is deliberately strict:
   its backward reads, plus shapes, dtypes and flags, never a ``Tensor``.  An
   intermediate therefore lives only while a closure or the caller
   references it: one that no backward reads is freed during the forward.
+- layout: ops that only move axes (``permute``, ``reshape_permute``,
+  ``flip``) return C-contiguous arrays, never strided views.  Elementwise
+  ops keep their inputs' memory order, so a view whose innermost axis is
+  not the data's would make every later op over the same shape run
+  strided, including the (B, H, L, L) arrays of the sequence kernel.
+- allocator: importing this module sets glibc's ``M_MMAP_THRESHOLD`` to its
+  32 MiB maximum and ``M_TRIM_THRESHOLD`` to 1 GiB, where the C library
+  exports ``mallopt`` (elsewhere it does nothing).  This holds for the whole
+  process, not only for arrays made here.  Without it, glibc hands the top
+  of the heap back to the OS when a backward frees the tape, and the next
+  forward page-faults every freed page back in.  Both thresholds must be
+  set: fixing only the trim threshold also freezes the mmap threshold at
+  128 KiB, and every array above that is then mmapped afresh.
 
 Finiteness policy: ops do not sweep their outputs with ``isfinite`` (the
 attention-style sequence kernel legitimately feeds ``-inf`` log-weights into
@@ -33,6 +46,8 @@ taped sequence kernel does not.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 
@@ -68,6 +83,30 @@ __all__ = [
     "narrow",
     "split",
 ]
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> bool:
+    """Make glibc's malloc keep freed memory in the process (see above).
+
+    Returns whether both thresholds were set: False where the C library has
+    no ``mallopt`` or rejects a value.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # the mmap threshold first: its maximum is 32 MiB on 64-bit glibc
+    return bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20)) and bool(
+        mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    )
+
+
+_HEAP_KEPT = _keep_freed_heap()
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _SUPPORTED_DTYPES = _FLOAT_DTYPES + (np.dtype(np.int32), np.dtype(np.uint8))
@@ -405,9 +444,12 @@ def add(a, b) -> Tensor:
     a, b = _coerce_pair(a, b, "add")
     out = Tensor(a.data + b.data)
     sa, sb = a.shape, b.shape
+    a_grad, b_grad = a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return _reduce_to(g, sa), _reduce_to(g, sb)
+        ga = _reduce_to(g, sa) if a_grad else None
+        gb = _reduce_to(g, sb) if b_grad else None
+        return ga, gb
 
     return record(out, (a, b), vjp)
 
@@ -416,9 +458,12 @@ def sub(a, b) -> Tensor:
     a, b = _coerce_pair(a, b, "sub")
     out = Tensor(a.data - b.data)
     sa, sb = a.shape, b.shape
+    a_grad, b_grad = a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return _reduce_to(g, sa), _reduce_to(-g, sb)
+        ga = _reduce_to(g, sa) if a_grad else None
+        gb = _reduce_to(-g, sb) if b_grad else None
+        return ga, gb
 
     return record(out, (a, b), vjp)
 
@@ -656,12 +701,17 @@ def permute(x: Tensor, axes) -> Tensor:
     if sorted(axes) != list(range(x.ndim)):
         raise ContractError(f"permute: {axes} is not a permutation of axes for shape {x.shape}")
     inv = tuple(np.argsort(axes))
-    out = Tensor(x.data.transpose(axes))
+    # a copy, not a strided view: see the layout rule in the module docstring
+    out = Tensor(np.ascontiguousarray(x.data.transpose(axes)))
     return record(out, (x,), lambda g: (g.transpose(inv),))
 
 
 def reshape_permute(x: Tensor, new_shape, axis_order) -> Tensor:
-    """Permute axes by ``axis_order`` then reshape to ``new_shape`` (one node)."""
+    """Permute axes by ``axis_order`` then reshape to ``new_shape`` (one node).
+
+    The result is C-contiguous, even where numpy could reshape the permuted
+    view without copying it.
+    """
     axis_order = tuple(axis_order)
     new_shape = tuple(new_shape)
     if sorted(axis_order) != list(range(x.ndim)):
@@ -677,7 +727,7 @@ def reshape_permute(x: Tensor, new_shape, axis_order) -> Tensor:
         ) from e
     inv = tuple(np.argsort(axis_order))
     mid_shape = permuted.shape
-    out = Tensor(y)
+    out = Tensor(np.ascontiguousarray(y))
     return record(out, (x,), lambda g: (g.reshape(mid_shape).transpose(inv),))
 
 
@@ -694,7 +744,8 @@ def broadcast_to(x: Tensor, shape) -> Tensor:
 
 
 def flip(x: Tensor, axes) -> Tensor:
-    # contiguous copies, not negative-stride views: downstream BLAS calls
+    # contiguous copies, not negative-stride views (the layout rule in the
+    # module docstring), and for a second reason: downstream BLAS calls
     # must see the same memory layout whether the caller flipped the data
     # itself or went through this op, so that both routes are bit-identical
     axes = _norm_axes(axes, x.ndim, "flip")

@@ -247,6 +247,80 @@ def test_shape_ops(rng):
     np.testing.assert_array_equal(got.data, x.transpose(1, 0, 2).reshape(3, 8))
 
 
+@pytest.mark.parametrize(
+    "op, want, undo",
+    [
+        # each case: the op, its numpy value, and the numpy map of an output
+        # cotangent back to the input's layout
+        (
+            lambda t: T.permute(t, (0, 2, 1, 3)),
+            lambda x: x.transpose(0, 2, 1, 3),
+            lambda g: g.transpose(0, 2, 1, 3),
+        ),
+        (
+            lambda t: T.permute(t, (3, 0, 2, 1)),
+            lambda x: x.transpose(3, 0, 2, 1),
+            lambda g: g.transpose(1, 3, 2, 0),
+        ),
+        (
+            # the merged axes stay adjacent, so numpy reshapes the
+            # transposed view without copying it
+            lambda t: T.reshape_permute(t, (3, 2, 20), (1, 0, 2, 3)),
+            lambda x: x.transpose(1, 0, 2, 3).reshape(3, 2, 20),
+            lambda g: g.reshape(3, 2, 4, 5).transpose(1, 0, 2, 3),
+        ),
+        (
+            # volume_to_sequence's move: channels last, spatial axes merged
+            lambda t: T.reshape_permute(t, (2, 20, 3), (0, 2, 3, 1)),
+            lambda x: x.transpose(0, 2, 3, 1).reshape(2, 20, 3),
+            lambda g: g.reshape(2, 4, 5, 3).transpose(0, 3, 1, 2),
+        ),
+    ],
+    ids=[
+        "permute-heads-first",
+        "permute-any",
+        "reshape_permute-merge",
+        "reshape_permute-channels-last",
+    ],
+)
+def test_axis_moves_are_c_contiguous_with_unchanged_values_and_vjps(rng, op, want, undo):
+    x = rng.normal(size=(2, 3, 4, 5))
+    t = Tensor(x, requires_grad=True)
+    with Graph() as g:
+        out = op(t)
+        w = rng.normal(size=out.shape)
+        loss = T.reduce_sum(T.mul(out, Tensor(w)))
+    assert out.data.flags.c_contiguous
+    np.testing.assert_array_equal(out.data, want(x))
+    backward(loss, g)
+    np.testing.assert_array_equal(t.grad, undo(w))
+
+
+@pytest.mark.parametrize("op", [T.add, T.sub])
+@pytest.mark.parametrize("const_first", [False, True])
+@pytest.mark.parametrize("scalar", [False, True])
+def test_add_sub_vjp_gives_none_for_a_constant_input(rng, monkeypatch, op, const_first, scalar):
+    # record's contract: no cotangent for an input that does not require grad
+    vjps = []
+    real_record = T.record
+
+    def spy(out, inputs, vjp):
+        vjps.append(vjp)
+        return real_record(out, inputs, vjp)
+
+    monkeypatch.setattr(T, "record", spy)
+    var = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    const = 1.5 if scalar else Tensor(rng.normal(size=(2, 3)))
+    with Graph():
+        op(const, var) if const_first else op(var, const)
+    gout = rng.normal(size=(2, 3))
+    g_first, g_second = vjps[-1](gout)
+    g_const, g_var = (g_first, g_second) if const_first else (g_second, g_first)
+    assert g_const is None
+    sign = -1.0 if op is T.sub and const_first else 1.0
+    np.testing.assert_array_equal(g_var, sign * gout)
+
+
 def test_narrow_and_split(rng):
     x = rng.normal(size=(4, 6)).astype(np.float32)
     t = Tensor(x)

@@ -220,6 +220,54 @@ def test_quadratic_form_keeps_few_full_arrays_for_backward(rng):
     assert np.isfinite(seq.grad).all()
 
 
+def test_quadratic_form_arrays_are_c_contiguous(rng, monkeypatch):
+    # every (B, H, L, L) array the forward materialises is row-major: one
+    # strided array (say, from a gate permuted out of (B, L, H) memory as a
+    # view) makes every later elementwise op over that shape run strided too
+    b, length, e, h = 2, 24, 8, 2
+    full = (b, h, length, length)
+    arrays = []
+    real_record = T.record
+
+    def spy(out, inputs, vjp):
+        for t in (out,) + tuple(inputs):
+            # broadcast_to's outputs are stride-0 views, not memory of their own
+            if t.shape == full and 0 not in t.data.strides:
+                arrays.append(t.data)
+        return real_record(out, inputs, vjp)
+
+    monkeypatch.setattr(T, "record", spy)
+    p = _params(rng, e=e, h=h)
+    seq = Tensor(rng.normal(size=(b, length, e)), requires_grad=True)
+    with T.Graph():
+        mlstm_sequence(seq, p)
+    # logits, masked logits, logits - m, decay, scores, weights
+    assert len({id(a) for a in arrays}) == 6
+    for a in arrays:
+        assert a.flags.c_contiguous, f"a (B, H, L, L) array has strides {a.strides}"
+
+
+@pytest.mark.skipif(not T._HEAP_KEPT, reason="the C library exports no mallopt (not glibc)")
+def test_repeated_steps_take_no_page_faults(rng):
+    # freed tape memory stays in the process, so a forward + backward of an
+    # L=256 block, once its memory was touched, faults nothing back in
+    # (glibc's default trimming costs ~3,000 faults a repetition here)
+    resource = pytest.importorskip("resource")
+    b, length, e, h = 4, 256, 16, 4
+    p = _params(rng, e=e, h=h, dtype=np.float32)
+    seq = Tensor(rng.normal(size=(b, length, e)).astype(np.float32), requires_grad=True)
+    faults = []
+    for _ in range(5):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        with T.Graph() as g:
+            loss = T.reduce_sum(mlstm_sequence(seq, p))
+        T.backward(loss, g)
+        for t in [seq] + [t for _, t in p.tensors()]:
+            t.grad = None
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert sum(faults[2:]) < 1500, f"minor page faults per repetition: {faults}"
+
+
 # ---------------------------------------------------------------------------
 # block wrappers
 
