@@ -33,10 +33,25 @@ the contract here is deliberately strict:
   forward page-faults every freed page back in.  Both thresholds must be
   set: fixing only the trim threshold also freezes the mmap threshold at
   128 KiB, and every array above that is then mmapped afresh.
+- subnormals: ``Graph.backward`` runs its sweep, and ``vil.mlstm_sequence``
+  its quadratic form, inside ``_flush_subnormals``, which sets the calling
+  thread's flush-to-zero and denormals-are-zero bits (MXCSR bits 15 and 6)
+  and on exit puts back just those two bits as they were, also when an
+  exception leaves it.  Values below the dtype's smallest normal (1.18e-38
+  in float32) then become, and read as, 0; on x86 every BLAS call and
+  ``exp`` that meets one takes a slow path.  The mode is scoped, never left
+  set: process-wide it would break Hypothesis (which refuses to draw floats
+  then) and IEEE behaviour for the caller's own code.  It acts on the
+  calling thread only; BLAS worker threads keep their own mode.  An
+  import-time probe checks that a float32 op flushes under the mode and
+  stops flushing after it; where it fails, or off x86-64 glibc Linux, the
+  context does nothing.
 
 Finiteness policy: ops do not sweep their outputs with ``isfinite`` (the
 attention-style sequence kernel legitimately feeds ``-inf`` log-weights into
-``exp`` to encode causal masking, and exact zeros come out).  Instead,
+``exp`` to encode causal masking, and exact zeros come out; inside the
+subnormal flush, results below the smallest normal come out as exact zeros
+too, and a subnormal input reads as zero).  Instead,
 training is guarded by named checks at three points where a NaN would
 otherwise pass silently: the network output (``Network.forward``), the loss
 (``dice_ce_loss``) and every gradient (``adamw_step``).  ``log`` rejects
@@ -48,6 +63,8 @@ taped sequence kernel does not.
 from __future__ import annotations
 
 import ctypes
+import os
+import sys
 
 import numpy as np
 
@@ -107,6 +124,85 @@ def _keep_freed_heap() -> bool:
 
 
 _HEAP_KEPT = _keep_freed_heap()
+
+
+class _Fenv(ctypes.Structure):
+    # x86-64 glibc's 32-byte fenv_t: the x87 environment, then MXCSR
+    _fields_ = (("x87", ctypes.c_uint8 * 28), ("mxcsr", ctypes.c_uint32))
+
+
+_FTZ_DAZ = (1 << 15) | (1 << 6)  # MXCSR's flush-to-zero and denormals-are-zero
+
+
+def _fenv_calls():
+    """glibc's ``(fegetenv, fesetenv)`` on x86-64 Linux; None elsewhere."""
+    if sys.platform != "linux" or os.uname().machine != "x86_64":
+        return None
+    try:
+        libc = ctypes.CDLL(None)
+        calls = (libc.fegetenv, libc.fesetenv)
+    except (AttributeError, OSError, TypeError):
+        return None
+    for f in calls:
+        f.argtypes = (ctypes.POINTER(_Fenv),)
+        f.restype = ctypes.c_int
+    return calls
+
+
+_FENV_CALLS = _fenv_calls()
+
+
+def _swap_flush_bits(bits: int) -> int:
+    """Set the calling thread's FTZ and DAZ bits to ``bits``; return the old ones.
+
+    Every other MXCSR bit (status flags, exception masks, rounding) is
+    written back as it was read.
+    """
+    get, put = _FENV_CALLS
+    env = _Fenv()  # one buffer per call: MXCSR is per thread
+    get(env)
+    old = env.mxcsr & _FTZ_DAZ
+    env.mxcsr = env.mxcsr & ~_FTZ_DAZ | bits
+    put(env)
+    return old
+
+
+def _probe_flush() -> bool:
+    """Whether setting the bits makes a float32 op flush its subnormal result,
+    and clearing them again brings it back."""
+    if _FENV_CALLS is None:
+        return False
+    tiny = np.full(4, np.finfo(np.float32).tiny, np.float32)
+    half = np.float32(0.5)
+    old = _swap_flush_bits(_FTZ_DAZ)
+    try:
+        flushed = tiny * half
+    finally:
+        _swap_flush_bits(old)
+    return not flushed.any() and bool((tiny * half).all())
+
+
+_FLUSHES_SUBNORMALS = _probe_flush()
+
+
+class _flush_subnormals:
+    """Context: the calling thread flushes subnormal floats to zero (module docstring).
+
+    On exit only the FTZ and DAZ bits are put back as they were on entry.
+    Does nothing where the import-time probe failed.
+    """
+
+    __slots__ = ("_old",)
+
+    def __enter__(self):
+        self._old = _swap_flush_bits(_FTZ_DAZ) if _FLUSHES_SUBNORMALS else None
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self._old is not None:
+            _swap_flush_bits(self._old)
+        return False
+
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _SUPPORTED_DTYPES = _FLOAT_DTYPES + (np.dtype(np.int32), np.dtype(np.uint8))
@@ -308,17 +404,18 @@ class Graph:
         self._consumed = True
         grads: dict[object, np.ndarray] = {loss._token: np.ones_like(loss.data)}
         nodes = self._nodes
-        while nodes:
-            out, inputs, vjp = nodes.pop()
-            gout = grads.pop(out, None)
-            if gout is None:
-                continue
-            gins = vjp(gout)
-            for token, gin in zip(inputs, gins):
-                if gin is None or token is None:
+        with _flush_subnormals():
+            while nodes:
+                out, inputs, vjp = nodes.pop()
+                gout = grads.pop(out, None)
+                if gout is None:
                     continue
-                acc = grads.get(token)
-                grads[token] = gin if acc is None else acc + gin
+                gins = vjp(gout)
+                for token, gin in zip(inputs, gins):
+                    if gin is None or token is None:
+                        continue
+                    acc = grads.get(token)
+                    grads[token] = gin if acc is None else acc + gin
         held = set()  # ids of the buffers that leaf gradients already hold
         for leaf in self._leaves.values():
             g = grads.get(leaf._token)

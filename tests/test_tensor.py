@@ -345,6 +345,69 @@ def test_concat(rng):
 
 
 # ---------------------------------------------------------------------------
+# subnormal flush
+
+_SUBNORMAL = 2.0**-127  # half of float32's smallest normal, exactly
+
+
+def _halved_tiny() -> float:
+    """float32 ``tiny * 0.5``: the subnormal 2**-127, or 0 where flushed."""
+    tiny = np.full(1, np.finfo(np.float32).tiny, np.float32)
+    return float((tiny * np.float32(0.5))[0])
+
+
+def _mxcsr() -> int:
+    env = T._Fenv()
+    T._FENV_CALLS[0](env)
+    return env.mxcsr
+
+
+@pytest.mark.skipif(
+    not T._FLUSHES_SUBNORMALS,
+    reason="the import-time probe found no flush-to-zero control (needs x86-64 glibc)",
+)
+def test_subnormal_flush_is_scoped_to_its_context_and_the_backward_sweep():
+    status = 0x3F  # MXCSR's sticky exception flags; ops may raise them
+    before = _mxcsr()
+    assert _halved_tiny() == _SUBNORMAL
+    with T._flush_subnormals():
+        assert _halved_tiny() == 0.0
+        # denormals-are-zero: a subnormal input reads as 0
+        assert not (np.full(1, _SUBNORMAL, np.float32) + np.float32(0)).any()
+    assert _halved_tiny() == _SUBNORMAL
+    assert _mxcsr() & ~status == before & ~status
+
+    # the sweep runs in the mode and leaves it when a VJP raises
+    seen = []
+
+    def failing_vjp(g):
+        seen.append(_halved_tiny())
+        raise RuntimeError("vjp failed")
+
+    x = Tensor(np.ones(3, np.float32), requires_grad=True)
+    with Graph() as g:
+        loss = T.reduce_sum(T.record(Tensor(2 * x.data), (x,), failing_vjp))
+    with pytest.raises(RuntimeError, match="vjp failed"):
+        backward(loss, g)
+    assert seen == [0.0]
+    assert _halved_tiny() == _SUBNORMAL
+
+    # bits that were already set stay set, after the context and the sweep
+    old = T._swap_flush_bits(T._FTZ_DAZ)
+    try:
+        with T._flush_subnormals():
+            pass
+        assert _halved_tiny() == 0.0
+        with Graph() as g:
+            loss = T.reduce_sum(T.mul(x, 2.0))
+        backward(loss, g)
+        assert _halved_tiny() == 0.0
+    finally:
+        T._swap_flush_bits(old)
+    assert _halved_tiny() == _SUBNORMAL
+
+
+# ---------------------------------------------------------------------------
 # properties
 
 

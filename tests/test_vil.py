@@ -1,5 +1,6 @@
 """Matrix-memory sequence cell and its block wrappers."""
 
+import contextlib
 import gc
 import tracemalloc
 
@@ -266,6 +267,62 @@ def test_repeated_steps_take_no_page_faults(rng):
             t.grad = None
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert sum(faults[2:]) < 1500, f"minor page faults per repetition: {faults}"
+
+
+@pytest.mark.skipif(
+    not T._FLUSHES_SUBNORMALS,
+    reason="the import-time probe found no flush-to-zero control (needs x86-64 glibc)",
+)
+def test_quadratic_form_computes_no_subnormals_and_unchanged_values(rng, monkeypatch):
+    # with the exponential forget gate some 4% of decay, weights and the
+    # logits cotangent fall below float32's smallest normal, and every BLAS
+    # call or exp touching them takes a slow path; the flushed forward and
+    # backward must hold none of them, and give the values of the plain ones
+    b, length, e, h = 4, 256, 16, 4
+    full = (b, h, length, length)
+    tiny = np.finfo(np.float32).tiny
+    p = _params(rng, e=e, h=h, dtype=np.float32)
+    x = rng.normal(size=(b, length, e)).astype(np.float32)
+    counts = {"forward": 0, "backward": 0}
+    real_record = T.record
+
+    def count(a, where):
+        counts[where] += np.count_nonzero((a != 0) & (np.abs(a) < tiny))
+
+    def spy(out, inputs, vjp):
+        if out.shape == full:
+            count(out.data, "forward")
+
+        def counted_vjp(g):
+            gins = vjp(g)
+            for gin in gins:
+                if gin is not None:
+                    count(gin, "backward")
+            return gins
+
+        return real_record(out, inputs, counted_vjp)
+
+    def run():
+        counts.update(forward=0, backward=0)
+        seq = Tensor(x, requires_grad=True)
+        for _, t in p.tensors():
+            t.grad = None
+        with T.Graph() as g:
+            out = mlstm_sequence(seq, p)
+            loss = T.reduce_sum(out)
+        T.backward(loss, g)
+        return [out.data, seq.grad] + [t.grad for _, t in p.tensors()]
+
+    monkeypatch.setattr(T, "record", spy)
+    flushed = run()
+    assert counts == {"forward": 0, "backward": 0}
+    monkeypatch.setattr(T, "_flush_subnormals", contextlib.nullcontext)
+    plain = run()
+    # the shape does exercise the flush: unflushed, subnormals appear
+    assert counts["forward"] > 0 and counts["backward"] > 0
+    assert len(flushed) == 11
+    for got, want in zip(flushed, plain):
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
