@@ -57,7 +57,6 @@ from .vil import (
     init_vil_params,
     init_xlstm_params,
     mlstm_sequence,
-    mlstm_sequence_serial,
     vil_block,
     volume_to_sequence,
     sequence_to_volume,

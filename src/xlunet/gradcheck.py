@@ -389,7 +389,7 @@ def _build_mlstm_sequence(rng):
     inputs = [seq, wt] + [t for _, t in params.tensors()]
 
     def fn():
-        return _weighted_sum(mlstm_sequence(seq, params, "forward"), wt)
+        return _weighted_sum(mlstm_sequence(seq, params), wt)
 
     return fn, inputs
 

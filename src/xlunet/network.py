@@ -62,6 +62,15 @@ class NetworkConfig:
     def stage_channels(self, i: int) -> int:
         return min(self.base_channels * (2**i), self.channel_cap)
 
+    @property
+    def _divisor(self) -> int:
+        """The stem and every stage halve each spatial dim."""
+        return 2 ** (self.num_stages + 1)
+
+    def _fits(self, dims: tuple[int, ...]) -> bool:
+        """Whether every spatial dim is a positive multiple of ``_divisor``."""
+        return all(n >= self._divisor and n % self._divisor == 0 for n in dims)
+
     def validate(self) -> None:
         if self.variant not in _VARIANTS:
             raise ContractError(f"variant must be one of {_VARIANTS}, got {self.variant!r}")
@@ -77,13 +86,11 @@ class NetworkConfig:
             raise ContractError(
                 f"need 1 <= base_channels <= channel_cap, got {self.base_channels}, {self.channel_cap}"
             )
-        divisor = 2 ** (self.num_stages + 1)
-        for p in self.patch_size:
-            if p % divisor != 0 or p < divisor:
-                raise ContractError(
-                    f"patch_size {self.patch_size}: every dim must be a positive multiple of"
-                    f" {divisor} (stem + {self.num_stages} stages each halve it)"
-                )
+        if not self._fits(self.patch_size):
+            raise ContractError(
+                f"patch_size {self.patch_size}: every dim must be a positive multiple of"
+                f" {self._divisor} (stem + {self.num_stages} stages each halve it)"
+            )
         sites = [self.stage_channels(self.num_stages - 1)]  # bottleneck
         if self.variant == "enc":
             sites += [self.stage_channels(i) for i in range(self.num_stages)]
@@ -282,12 +289,10 @@ class Network:
             )
         if x.shape[1] != cfg.in_channels:
             raise ContractError(f"forward: expected {cfg.in_channels} input channels, got {x.shape[1]}")
-        divisor = 2 ** (cfg.num_stages + 1)
-        for p in x.shape[2:]:
-            if p % divisor != 0 or p < divisor:
-                raise ContractError(
-                    f"forward: spatial dims {x.shape[2:]} must be positive multiples of {divisor}"
-                )
+        if not cfg._fits(x.shape[2:]):
+            raise ContractError(
+                f"forward: spatial dims {x.shape[2:]} must be positive multiples of {cfg._divisor}"
+            )
 
     def forward(self, x: Tensor) -> Tensor:
         """(B, in_channels, *spatial) -> per-voxel class probabilities

@@ -439,17 +439,43 @@ def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tens
     return record(out, inputs, vjp)
 
 
-def _check_norm_args(x: Tensor, gamma: Tensor, beta: Tensor, n_feat: int, op: str) -> None:
+def _normalize(
+    op: str, x: Tensor, gamma: Tensor, beta: Tensor, eps: float, axes: tuple, feat: int
+) -> Tensor:
+    """Normalize ``x`` over ``axes``, then scale and shift by gamma/beta along
+    axis ``feat``.  One tape node; population variance (no Bessel
+    correction)."""
     for t in (x, gamma, beta):
         if not isinstance(t, Tensor) or t.data.dtype not in (
             np.dtype(np.float32),
             np.dtype(np.float64),
         ):
             raise ContractError(f"{op}: inputs must be float Tensors")
+    n_feat = x.shape[feat]
     if gamma.shape != (n_feat,) or beta.shape != (n_feat,):
         raise ContractError(
             f"{op}: gamma/beta must have shape ({n_feat},), got {gamma.shape} and {beta.shape}"
         )
+    rest = tuple(range(feat)) + tuple(range(feat + 1, x.ndim))
+    mu = x.data.mean(axis=axes, keepdims=True)
+    centered = x.data - mu
+    var = np.mean(centered * centered, axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    gshape = (n_feat,) + (1,) * (x.ndim - 1 - feat)  # broadcasts along ``feat``
+    gd = gamma.data.reshape(gshape)
+    out = Tensor(gd * xhat + beta.data.reshape(gshape))
+
+    def vjp(g):
+        ggamma = (g * xhat).sum(axis=rest)
+        gbeta = g.sum(axis=rest)
+        gh = g * gd
+        gh_mean = gh.mean(axis=axes, keepdims=True)
+        ghx_mean = (gh * xhat).mean(axis=axes, keepdims=True)
+        gx = inv * (gh - gh_mean - xhat * ghx_mean)
+        return gx, ggamma, gbeta
+
+    return record(out, (x, gamma, beta), vjp)
 
 
 def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -460,55 +486,14 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> 
     """
     if x.ndim < 3:
         raise ContractError(f"instance_norm: input must be (B, C, *spatial), got {x.shape}")
-    c = x.shape[1]
-    _check_norm_args(x, gamma, beta, c, "instance_norm")
-    axes = tuple(range(2, x.ndim))
-    mu = x.data.mean(axis=axes, keepdims=True)
-    centered = x.data - mu
-    var = np.mean(centered * centered, axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    gshape = (1, c) + (1,) * (x.ndim - 2)
-    gd = gamma.data.reshape(gshape)
-    out = Tensor(gd * xhat + beta.data.reshape(gshape))
-
-    def vjp(g):
-        ggamma = (g * xhat).sum(axis=(0,) + axes)
-        gbeta = g.sum(axis=(0,) + axes)
-        gh = g * gd
-        gh_mean = gh.mean(axis=axes, keepdims=True)
-        ghx_mean = (gh * xhat).mean(axis=axes, keepdims=True)
-        gx = inv * (gh - gh_mean - xhat * ghx_mean)
-        return gx, ggamma, gbeta
-
-    return record(out, (x, gamma, beta), vjp)
+    return _normalize("instance_norm", x, gamma, beta, eps, tuple(range(2, x.ndim)), feat=1)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis; gamma/beta have that axis's length."""
     if x.ndim < 1:
         raise ContractError("layer_norm: input must have at least one axis")
-    d = x.shape[-1]
-    _check_norm_args(x, gamma, beta, d, "layer_norm")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    gd = gamma.data
-    out = Tensor(gd * xhat + beta.data)
-    lead = tuple(range(x.ndim - 1))
-
-    def vjp(g):
-        ggamma = (g * xhat).sum(axis=lead)
-        gbeta = g.sum(axis=lead)
-        gh = g * gd
-        gh_mean = gh.mean(axis=-1, keepdims=True)
-        ghx_mean = (gh * xhat).mean(axis=-1, keepdims=True)
-        gx = inv * (gh - gh_mean - xhat * ghx_mean)
-        return gx, ggamma, gbeta
-
-    return record(out, (x, gamma, beta), vjp)
+    return _normalize("layer_norm", x, gamma, beta, eps, (x.ndim - 1,), feat=x.ndim - 1)
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:

@@ -55,9 +55,8 @@ too, and a subnormal input reads as zero).  Instead,
 training is guarded by named checks at three points where a NaN would
 otherwise pass silently: the network output (``Network.forward``), the loss
 (``dice_ce_loss``) and every gradient (``adamw_step``).  ``log`` rejects
-non-positive inputs, and the serial reference scan
-``vil.mlstm_sequence_serial`` checks its gates and readout at every step; the
-taped sequence kernel does not.
+non-positive inputs.  The sequence kernel checks nothing itself: a gate
+that leaves the finite range surfaces at the network output check.
 """
 
 from __future__ import annotations

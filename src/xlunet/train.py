@@ -567,11 +567,10 @@ def predict_volume(net: Network, image: np.ndarray, tile: bool = False) -> np.nd
     if tile:
         probs = _tiled_probs(net, image)
     else:
-        divisor = 2 ** (net.config.num_stages + 1)
-        if any(n % divisor != 0 or n < divisor for n in image.shape[1:]):
+        if not net.config._fits(image.shape[1:]):
             raise ContractError(
                 f"predict_volume: spatial dims {image.shape[1:]} are not multiples of"
-                f" {divisor}; use tile=True (--tile) for arbitrary volumes"
+                f" {net.config._divisor}; use tile=True (--tile) for arbitrary volumes"
             )
         probs = net.forward(Tensor(image[None])).data[0]
     return np.argmax(probs, axis=0).astype(np.int32)

@@ -12,24 +12,24 @@ by 1/sqrt(head_dim)), v and gate pre-activations i, f:
     h~  = (C' q) / max(|n' . q|, 1)
     h   = sigmoid(out_gate) * h~
 
-``mlstm_sequence_serial`` scans exactly that over a sequence (plain numpy, one
-python step per position).  The taped op ``mlstm_sequence`` evaluates the
-algebraically identical quadratic form in one shot: with F_t the cumulative
+``mlstm_sequence`` evaluates that scan over a whole sequence as its
+algebraically identical quadratic form, in one shot: with F_t the cumulative
 sum of f and A[t, j] = F_t - F_j + i_j for j <= t (else -inf), the scan's
 running max m_t equals the row max of A, the stabilized weights are
 exp(A[t, j] - m_t) * (q_t . k_j), and the same readout/normalizer follow from
 row sums.  This keeps the op a handful of vectorized tape nodes instead of
 O(L) python steps, and its backward comes entirely from the primitive ops'
-verified VJPs.  Equality of the two paths is pinned by tests in float64 at
-rtol 1e-9, atol 1e-12.  The quadratic form runs with subnormal floats
-flushed to zero (``tensor._flush_subnormals``): with exponential gating a few
-percent of the float32 (B, H, L, L) decay and weight arrays fall below the
-smallest normal, and each op over them would take the processor's slow path.
+verified VJPs.  Equality with the scan is pinned by tests against an
+independent per-step loop, in float64 at rtol 1e-9, atol 1e-12.  The
+quadratic form runs with subnormal floats flushed to zero
+(``tensor._flush_subnormals``): with exponential gating a few percent of the
+float32 (B, H, L, L) decay and weight arrays fall below the smallest normal,
+and each op over them would take the processor's slow path.
 
-Direction handling: processing a sequence in reverse is defined as flip,
-forward pass, flip — bitwise identical to running the scan from the last
-position backwards.  A reverse ``vil_block`` flips before its entry norm, so
-its causal conv is causal in the reversed order too.
+Direction handling: the cell is causal.  A reverse ``vil_block`` flips the
+sequence before its entry norm and flips the result back, so every op
+inside it, the causal conv included, runs over the reversed order; the
+result equals flip, forward block, flip bitwise.
 """
 
 from __future__ import annotations
@@ -40,15 +40,13 @@ import numpy as np
 
 from . import tensor as T
 from .nnops import causal_conv1d, layer_norm
-from .tensor import ContractError, NumericsError, Tensor
+from .tensor import ContractError, Tensor
 
 __all__ = [
     "MlstmParams",
     "VilBlockParams",
     "XlstmBlockParams",
-    "SequenceView",
     "mlstm_sequence",
-    "mlstm_sequence_serial",
     "vil_block",
     "xlstm_block",
     "volume_to_sequence",
@@ -220,78 +218,7 @@ def init_xlstm_params(
 
 
 # ---------------------------------------------------------------------------
-# serial recurrence (plain numpy)
-
-
-def mlstm_sequence_serial(
-    seq: np.ndarray, params: MlstmParams, direction: str = "forward"
-) -> np.ndarray:
-    """Step-by-step scan over (B, L, E); the slow twin of ``mlstm_sequence``.
-
-    Plain numpy, not taped.  The projections and gates are computed once for
-    the whole sequence; the loop carries only the per-head state (C, n, m).
-    Raises NumericsError, naming the offending gate and the step, if an
-    activation leaves the finite range, e.g. an input gate forced to -inf on
-    the very first step, where the running log-scale is still -inf.
-    """
-    if direction not in _DIRECTIONS:
-        raise ContractError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
-    if seq.ndim != 3:
-        raise ContractError(f"mlstm_sequence_serial: expected (B, L, E), got {seq.shape}")
-    if seq.shape[2] != params.embed_dim:
-        raise ContractError(
-            f"mlstm_sequence_serial: embed dim {seq.shape[2]} != params dim {params.embed_dim}"
-        )
-    work = np.flip(seq, axis=1) if direction == "reverse" else seq
-    b, length, embed = work.shape
-    heads = params.heads
-    head_dim = embed // heads
-    scale = 1.0 / np.sqrt(head_dim)
-
-    def heads_last(w: Tensor) -> np.ndarray:  # (B, L, E) @ (E, E) -> (B, L, H, d)
-        return (work @ w.data).reshape(b, length, heads, head_dim)
-
-    q = heads_last(params.query_proj)
-    k = heads_last(params.key_proj) * scale
-    v = heads_last(params.value_proj)
-    i_pre = work @ params.input_gate_w.data + params.input_gate_b.data  # (B, L, H)
-    f_pre = work @ params.forget_gate_w.data + params.forget_gate_b.data
-    out_gate = T._stable_sigmoid(work @ params.out_gate_w.data + params.out_gate_b.data)
-
-    cell = np.zeros((b, heads, head_dim, head_dim), dtype=work.dtype)
-    normalizer = np.zeros((b, heads, head_dim), dtype=work.dtype)
-    log_scale = np.full((b, heads), -np.inf, dtype=work.dtype)
-    inner = np.empty(q.shape, dtype=np.result_type(q, k, v))
-
-    def check_finite(x: np.ndarray, what: str, t: int) -> None:
-        if not np.all(np.isfinite(x)):
-            raise NumericsError(f"mlstm_sequence_serial: {what} is non-finite at step {t}")
-
-    for t in range(length):
-        m_new = np.maximum(f_pre[:, t] + log_scale, i_pre[:, t])
-        i_act = np.exp(i_pre[:, t] - m_new)
-        f_act = np.exp(f_pre[:, t] + log_scale - m_new)
-        check_finite(i_act, "input gate activation", t)
-        check_finite(f_act, "forget gate activation", t)
-        q_t, k_t, v_t = q[:, t], k[:, t], v[:, t]  # (B, H, d)
-        cell = (
-            f_act[..., None, None] * cell
-            + i_act[..., None, None] * v_t[..., :, None] * k_t[..., None, :]
-        )
-        normalizer = f_act[..., None] * normalizer + i_act[..., None] * k_t
-        log_scale = m_new
-
-        weight = np.einsum("bhij,bhj->bhi", cell, q_t)  # C' q
-        denom = np.maximum(np.abs(np.einsum("bhj,bhj->bh", normalizer, q_t)), 1.0)
-        inner[:, t] = weight / denom[..., None]
-        check_finite(inner[:, t], "memory readout", t)
-
-    out = (out_gate * inner.reshape(b, length, embed)).astype(work.dtype, copy=False)
-    return np.flip(out, axis=1) if direction == "reverse" else out
-
-
-# ---------------------------------------------------------------------------
-# parallel (taped) sequence op
+# sequence op
 
 
 _MASK_CACHE: dict[tuple[int, str], np.ndarray] = {}
@@ -317,25 +244,22 @@ def _linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return y
 
 
-def mlstm_sequence(seq: Tensor, params: MlstmParams, direction: str = "forward") -> Tensor:
-    """Run the recurrence over a whole (B, L, E) sequence as one taped op.
+def mlstm_sequence(seq: Tensor, params: MlstmParams) -> Tensor:
+    """Run the causal recurrence over a whole (B, L, E) sequence as one taped
+    op.
 
     Evaluates the stabilized quadratic form (see module docstring); output is
-    elementwise equal to ``mlstm_sequence_serial``, up to floating-point
+    elementwise equal to the per-step scan, up to floating-point
     associativity in the cumulative log-forget sums.
     """
-    if direction not in _DIRECTIONS:
-        raise ContractError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
     if not isinstance(seq, Tensor) or seq.ndim != 3:
         raise ContractError("mlstm_sequence: expected a (B, L, E) Tensor")
     if seq.shape[2] != params.embed_dim:
         raise ContractError(
             f"mlstm_sequence: embed dim {seq.shape[2]} != params dim {params.embed_dim}"
         )
-    work = T.flip(seq, (1,)) if direction == "reverse" else seq
     with T._flush_subnormals():
-        out = _mlstm_parallel(work, params)
-    return T.flip(out, (1,)) if direction == "reverse" else out
+        return _mlstm_parallel(seq, params)
 
 
 def _mlstm_parallel(seq: Tensor, params: MlstmParams) -> Tensor:
@@ -390,6 +314,10 @@ def vil_block(seq: Tensor, params: VilBlockParams) -> Tensor:
     Reverse-direction blocks flip the sequence on entry and exit, so every
     internal op (including the causal conv) sees the reversed order.
     """
+    if params.direction not in _DIRECTIONS:
+        raise ContractError(
+            f"vil_block: direction must be one of {_DIRECTIONS}, got {params.direction!r}"
+        )
     if not isinstance(seq, Tensor) or seq.ndim != 3:
         raise ContractError("vil_block: expected a (B, L, D) Tensor")
     if seq.shape[2] != params.ln_gamma.shape[0]:
@@ -404,7 +332,7 @@ def vil_block(seq: Tensor, params: VilBlockParams) -> Tensor:
     memory_in, gate_in = T.split(up, 2, axis=2)
 
     conv = T.silu(causal_conv1d(memory_in, params.conv_kernel, params.conv_bias))
-    h = mlstm_sequence(conv, params.mlstm, "forward")
+    h = mlstm_sequence(conv, params.mlstm)
     skip = T.reshape(params.skip_scale, (1, 1, conv.shape[2]))
     h = T.add(h, T.mul(conv, T.broadcast_to(skip, conv.shape)))
 
@@ -413,46 +341,33 @@ def vil_block(seq: Tensor, params: VilBlockParams) -> Tensor:
     return T.flip(y, (1,)) if reverse else y
 
 
-@dataclass
-class SequenceView:
-    """A volume flattened to (B, L, C), remembering its spatial extent."""
-
-    seq: Tensor
-    spatial: tuple[int, ...]
-
-
-def volume_to_sequence(x: Tensor) -> SequenceView:
+def volume_to_sequence(x: Tensor) -> Tensor:
     """(B, C, *spatial) -> (B, prod(spatial), C), row-major spatial order."""
     if not isinstance(x, Tensor) or x.ndim < 3:
         raise ContractError(f"volume_to_sequence: expected (B, C, *spatial), got shape {getattr(x, 'shape', None)}")
     b, c = x.shape[:2]
-    spatial = x.shape[2:]
-    length = int(np.prod(spatial))
+    length = int(np.prod(x.shape[2:]))
     order = (0,) + tuple(range(2, x.ndim)) + (1,)
-    seq = T.reshape_permute(x, (b, length, c), order)
-    return SequenceView(seq, spatial)
+    return T.reshape_permute(x, (b, length, c), order)
 
 
-def sequence_to_volume(view: SequenceView) -> Tensor:
-    """Inverse of ``volume_to_sequence``."""
-    seq = view.seq
+def sequence_to_volume(seq: Tensor, spatial: tuple[int, ...]) -> Tensor:
+    """Inverse of ``volume_to_sequence``: (B, L, C) -> (B, C, *spatial)."""
     if not isinstance(seq, Tensor) or seq.ndim != 3:
         raise ContractError("sequence_to_volume: expected a (B, L, C) Tensor")
     b, length, c = seq.shape
-    if int(np.prod(view.spatial)) != length:
-        raise ContractError(
-            f"sequence_to_volume: length {length} != prod of spatial {view.spatial}"
-        )
-    grid = T.reshape(seq, (b,) + view.spatial + (c,))
-    rank = len(view.spatial)
+    spatial = tuple(spatial)
+    if int(np.prod(spatial)) != length:
+        raise ContractError(f"sequence_to_volume: length {length} != prod of spatial {spatial}")
+    grid = T.reshape(seq, (b,) + spatial + (c,))
+    rank = len(spatial)
     return T.permute(grid, (0, rank + 1) + tuple(range(1, rank + 1)))
 
 
 def xlstm_block(x: Tensor, params: XlstmBlockParams) -> Tensor:
     """Flatten a (B, C, *spatial) volume, norm it, run a forward and a
     reverse vil block, and fold it back to the volume layout."""
-    view = volume_to_sequence(x)
-    u = layer_norm(view.seq, params.pre_gamma, params.pre_beta)
+    u = layer_norm(volume_to_sequence(x), params.pre_gamma, params.pre_beta)
     u = vil_block(u, params.forward_block)
     u = vil_block(u, params.reverse_block)
-    return sequence_to_volume(SequenceView(u, view.spatial))
+    return sequence_to_volume(u, x.shape[2:])

@@ -35,7 +35,7 @@ from xlunet.train import (
     restore_network,
     run_training,
 )
-from xlunet.vil import init_mlstm_params, mlstm_sequence, mlstm_sequence_serial
+from xlunet.vil import init_mlstm_params, mlstm_sequence
 
 from oracles import (
     dice_bf,
@@ -203,40 +203,31 @@ def test_criterion_5_metrics_match_bruteforce_on_50_random_pairs():
 
 
 def test_criterion_6_mlstm_parallel_serial_duality_and_stability():
-    """On (2,16,8) float64: parallel == serial scan == independent loop
-    oracle within 1e-6; causality is bitwise; +-50 gate biases stay finite."""
+    """On (2,16,8) float64: the parallel form == the independent per-step
+    scan within 1e-6; causality is bitwise; +-50 gate biases stay finite."""
     rng = np.random.default_rng(6)
     p = init_mlstm_params(rng, 8, 2, dtype=np.float64)
     seq = rng.normal(size=(2, 16, 8))
 
-    par = mlstm_sequence(Tensor(seq), p, direction="forward").data
-    ser = mlstm_sequence_serial(seq, p, direction="forward")
-    naive = mlstm_loop(
-        seq,
-        p.query_proj.data, p.key_proj.data, p.value_proj.data,
-        p.input_gate_w.data, p.input_gate_b.data,
-        p.forget_gate_w.data, p.forget_gate_b.data,
-        p.out_gate_w.data, p.out_gate_b.data,
-        heads=2,
-    )
-    assert np.abs(par - ser).max() <= 1e-6
-    assert np.abs(par - naive).max() <= 1e-6
+    def serial(params):
+        return mlstm_loop(seq, *(t.data for _, t in params.tensors()), heads=params.heads)
+
+    par = mlstm_sequence(Tensor(seq), p).data
+    assert np.abs(par - serial(p)).max() <= 1e-6
 
     # causality: perturbing the tail leaves the head bit-identical
     seq2 = seq.copy()
     seq2[:, 9:, :] += 7.0
-    par2 = mlstm_sequence(Tensor(seq2), p, direction="forward").data
+    par2 = mlstm_sequence(Tensor(seq2), p).data
     assert np.array_equal(par[:, :9], par2[:, :9])
 
     for shift in (50.0, -50.0):
         ps = init_mlstm_params(np.random.default_rng(7), 8, 2, dtype=np.float64)
         ps.forget_gate_b.data = ps.forget_gate_b.data + shift
         ps.input_gate_b.data = ps.input_gate_b.data - shift
-        out = mlstm_sequence(Tensor(seq), ps, direction="forward").data
+        out = mlstm_sequence(Tensor(seq), ps).data
         assert np.isfinite(out).all(), f"non-finite output at gate shift {shift}"
-        np.testing.assert_allclose(
-            out, mlstm_sequence_serial(seq, ps, direction="forward"), atol=1e-6
-        )
+        np.testing.assert_allclose(out, serial(ps), atol=1e-6)
 
 
 # ---------------------------------------------------------------------------

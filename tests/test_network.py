@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+import xlunet.nnops as nnops
+from xlunet.losses import LossConfig, dice_ce_loss
 from xlunet.network import NetworkConfig, build_network, count_parameters
 from xlunet.tensor import ContractError, Graph, Tensor, backward
+from xlunet.train import predict_volume
 import xlunet.tensor as T
 
 
@@ -31,6 +34,20 @@ def test_patch_divisibility_enforced():
     with pytest.raises(ContractError, match="divisible|multiple"):
         _cfg(patch_size=(20, 16)).validate()  # 20 % 8 != 0
     _cfg(patch_size=(24, 16)).validate()
+
+
+@pytest.mark.parametrize("dims", [(20, 16), (4, 16), (0, 16)])
+def test_downsampling_rule_is_shared(dims):
+    # the config, the forward pass and whole-volume prediction all ask for
+    # positive multiples of 2 ** (num_stages + 1) = 8, each in its own words
+    with pytest.raises(ContractError, match="positive multiple of 8"):
+        _cfg(patch_size=dims).validate()
+    net = build_network(_cfg())
+    with pytest.raises(ContractError, match="positive multiples of 8"):
+        net.forward(Tensor(np.zeros((1, 1) + dims, dtype=np.float32)))
+    with pytest.raises(ContractError, match=r"multiples of 8; use tile=True \(--tile\)"):
+        predict_volume(net, np.zeros((1,) + dims, dtype=np.float32), tile=False)
+    assert predict_volume(net, np.zeros((1, 8, 24), dtype=np.float32)).shape == (8, 24)
 
 
 def test_rank_limited_to_2_and_3():
@@ -169,3 +186,43 @@ def test_decoder_mirrors_encoder_resolutions():
     net = build_network(cfg)
     out = net.forward(Tensor(np.zeros((1, 1, 32, 32), dtype=np.float32)))
     assert out.shape[2:] == (32, 32)
+
+
+# ---------------------------------------------------------------------------
+# tape size
+
+
+@pytest.mark.parametrize(
+    "variant, patch, batch, nodes",
+    [("enc", (64, 64), 4, 759), ("bot", (32, 32, 32), 2, 239)],
+    ids=["enc", "bot"],
+)
+def test_taped_nodes_per_training_step(monkeypatch, variant, patch, batch, nodes):
+    """One training step's forward and loss tape exactly this many nodes.
+
+    The traced benchmark requires exactly these counts per step
+    (``perfbench/workloads.py``, ``TRAIN``: 3 classes, 4 stages, base 8) and
+    counts them the same way: a node is an output whose ``requires_grad``
+    turns on in ``record``.  When that check changes, this test changes with
+    it.
+    """
+    counted = []
+    real_record = T.record
+
+    def spy(out, inputs, vjp):
+        was = out.requires_grad
+        res = real_record(out, inputs, vjp)
+        counted.append(res.requires_grad and not was)
+        return res
+
+    monkeypatch.setattr(T, "record", spy)
+    monkeypatch.setattr(nnops, "record", spy)
+    net = build_network(
+        NetworkConfig(in_channels=1, num_classes=3, patch_size=patch, variant=variant)
+    )
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(batch, 1) + patch).astype(np.float32))
+    target = rng.integers(0, 3, size=(batch,) + patch)
+    with Graph():
+        dice_ce_loss(net.forward(x), target, LossConfig())
+    assert sum(counted) == nodes

@@ -1,6 +1,7 @@
 """Matrix-memory sequence cell and its block wrappers."""
 
 import contextlib
+import dataclasses
 import gc
 import tracemalloc
 
@@ -8,14 +9,12 @@ import numpy as np
 import pytest
 
 import xlunet.tensor as T
-from xlunet.tensor import ContractError, NumericsError, Tensor
+from xlunet.tensor import ContractError, Tensor
 from xlunet.vil import (
-    SequenceView,
     init_mlstm_params,
     init_vil_params,
     init_xlstm_params,
     mlstm_sequence,
-    mlstm_sequence_serial,
     sequence_to_volume,
     vil_block,
     volume_to_sequence,
@@ -29,6 +28,22 @@ def _params(rng, e=8, h=2, dtype=np.float64):
     return init_mlstm_params(rng, e, h, dtype=dtype)
 
 
+def _loop(seq, p):
+    """The independent per-step scan over ``p``'s weights."""
+    return mlstm_loop(seq, *(t.data for _, t in p.tensors()), heads=p.heads)
+
+
+def _vil_pair(rng):
+    """A forward and a reverse block with the same weights."""
+    pf = init_vil_params(rng, model_dim=6, direction="forward", heads=3, dtype=np.float64)
+    pr = init_vil_params(
+        np.random.default_rng(123), model_dim=6, direction="reverse", heads=3, dtype=np.float64
+    )
+    for (_, a), (_, b) in zip(pf.tensors(), pr.tensors()):
+        b.data = a.data.copy()
+    return pf, pr
+
+
 # ---------------------------------------------------------------------------
 # first-step semantics
 
@@ -37,11 +52,11 @@ def test_first_step_reduces_to_closed_form(rng):
     # With C=0, n=0, m=-inf the first step gives
     #   h = o * (C1 q) / max(|n1 . q|, 1),  C1 = v k^T,  n1 = k
     # (C1 = i * v k^T and n1 = i * k with i = exp(itil - itil) = 1 exactly).
-    # An L=1 sequence is exactly that first step, on both paths.
+    # An L=1 sequence is exactly that first step, in the scan and the op.
     p = _params(rng)
     seq = rng.normal(size=(3, 1, 8))
-    serial = mlstm_sequence_serial(seq, p, direction="forward")
-    par = mlstm_sequence(Tensor(seq), p, direction="forward").data
+    serial = _loop(seq, p)
+    par = mlstm_sequence(Tensor(seq), p).data
     d = 4
     for b in range(3):
         x = seq[b, 0]
@@ -60,86 +75,70 @@ def test_first_step_reduces_to_closed_form(rng):
 def test_step_rejects_bad_shapes(rng):
     p = _params(rng)
     with pytest.raises(ContractError, match="embed dim 7"):
-        mlstm_sequence_serial(rng.normal(size=(2, 3, 7)), p)
+        mlstm_sequence(Tensor(rng.normal(size=(2, 3, 7))), p)
     with pytest.raises(ContractError):
-        mlstm_sequence_serial(rng.normal(size=(2, 8)), p)
-
-
-def test_step_flags_nonfinite_input(rng):
-    p = _params(rng)
-    seq = np.full((1, 3, 8), np.nan)
-    with pytest.raises(NumericsError, match="gate activation is non-finite at step 0"):
-        mlstm_sequence_serial(seq, p)
-    # the step is counted in scan order: position 5 of 8 is step 2 in reverse
-    seq = rng.normal(size=(1, 8, 8))
-    seq[0, 5, 0] = np.nan
-    with pytest.raises(NumericsError, match="input gate activation is non-finite at step 5"):
-        mlstm_sequence_serial(seq, p, direction="forward")
-    with pytest.raises(NumericsError, match="input gate activation is non-finite at step 2"):
-        mlstm_sequence_serial(seq, p, direction="reverse")
+        mlstm_sequence(Tensor(rng.normal(size=(2, 8))), p)
 
 
 # ---------------------------------------------------------------------------
-# sequence form vs step scan vs independent oracle
+# sequence form vs independent per-step scan
 
 
 def test_serial_matches_independent_loop_oracle(rng):
     p = _params(rng)
     seq = rng.normal(size=(2, 12, 8))
-    got = mlstm_sequence_serial(seq, p, direction="forward")
-    want = mlstm_loop(
-        seq,
-        p.query_proj.data,
-        p.key_proj.data,
-        p.value_proj.data,
-        p.input_gate_w.data,
-        p.input_gate_b.data,
-        p.forget_gate_w.data,
-        p.forget_gate_b.data,
-        p.out_gate_w.data,
-        p.out_gate_b.data,
-        heads=2,
-    )
-    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+    got = mlstm_sequence(Tensor(seq), p).data
+    np.testing.assert_allclose(got, _loop(seq, p), rtol=1e-10, atol=1e-12)
 
 
-@pytest.mark.parametrize("direction", ["forward", "reverse"])
+@pytest.mark.parametrize("direction", ["forward"])
 def test_parallel_matches_serial(rng, direction):
     p = _params(rng)
     seq = rng.normal(size=(2, 16, 8))
-    serial = mlstm_sequence_serial(seq, p, direction=direction)
-    par = mlstm_sequence(Tensor(seq), p, direction=direction).data
-    np.testing.assert_allclose(par, serial, rtol=1e-9, atol=1e-12)
+    par = mlstm_sequence(Tensor(seq), p).data
+    np.testing.assert_allclose(par, _loop(seq, p), rtol=1e-9, atol=1e-12)
 
 
 def test_reverse_equals_flip_forward_flip(rng):
-    p = _params(rng)
-    seq = rng.normal(size=(2, 9, 8))
-    rev = mlstm_sequence(Tensor(seq), p, direction="reverse").data
-    ff = np.flip(
-        mlstm_sequence(Tensor(np.flip(seq, axis=1).copy()), p, direction="forward").data,
-        axis=1,
-    )
-    np.testing.assert_array_equal(rev, ff)
+    # the reverse block is flip, forward block, flip in the gradient of its
+    # input and of every weight too (test_reverse_vil_block_mirrors_forward
+    # pins the output)
+    pf, pr = _vil_pair(rng)
+    seq = rng.normal(size=(2, 9, 6))
+    wt = rng.normal(size=(2, 9, 6))
+
+    def run(p, x, w):
+        x = Tensor(x, requires_grad=True)
+        with T.Graph() as g:
+            out = vil_block(x, p)
+            loss = T.reduce_sum(T.mul(out, Tensor(w)))
+        T.backward(loss, g)
+        return [x.grad] + [t.grad for _, t in p.tensors()]
+
+    rev_grads = run(pr, seq, wt)
+    fwd_grads = run(pf, np.flip(seq, 1).copy(), np.flip(wt, 1).copy())
+    np.testing.assert_array_equal(rev_grads[0], np.flip(fwd_grads[0], 1))
+    for got, want in zip(rev_grads[1:], fwd_grads[1:]):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_causality_is_bitwise(rng):
     p = _params(rng)
     seq = rng.normal(size=(2, 12, 8))
-    out1 = mlstm_sequence(Tensor(seq), p, direction="forward").data
+    out1 = mlstm_sequence(Tensor(seq), p).data
     seq2 = seq.copy()
     seq2[:, 7:, :] = rng.normal(size=(2, 5, 8)) * 10
-    out2 = mlstm_sequence(Tensor(seq2), p, direction="forward").data
+    out2 = mlstm_sequence(Tensor(seq2), p).data
     assert np.array_equal(out1[:, :7], out2[:, :7])
 
 
 def test_anticausality_of_reverse_direction(rng):
-    p = _params(rng)
-    seq = rng.normal(size=(1, 10, 8))
-    out1 = mlstm_sequence(Tensor(seq), p, direction="reverse").data
+    p = init_vil_params(rng, model_dim=6, direction="reverse", heads=3, dtype=np.float64)
+    seq = rng.normal(size=(1, 10, 6))
+    out1 = vil_block(Tensor(seq), p).data
     seq2 = seq.copy()
     seq2[:, :4, :] += 2.0  # earlier positions must not affect later outputs
-    out2 = mlstm_sequence(Tensor(seq2), p, direction="reverse").data
+    out2 = vil_block(Tensor(seq2), p).data
     assert np.array_equal(out1[:, 4:], out2[:, 4:])
 
 
@@ -149,8 +148,8 @@ def test_extreme_gate_biases_stay_finite(rng, shift):
     p.forget_gate_b.data = p.forget_gate_b.data + shift
     p.input_gate_b.data = p.input_gate_b.data - shift
     seq = rng.normal(size=(2, 16, 8))
-    par = mlstm_sequence(Tensor(seq), p, direction="forward").data
-    ser = mlstm_sequence_serial(seq, p, direction="forward")
+    par = mlstm_sequence(Tensor(seq), p).data
+    ser = _loop(seq, p)
     assert np.isfinite(par).all() and np.isfinite(ser).all()
     np.testing.assert_allclose(par, ser, rtol=1e-9, atol=1e-12)
 
@@ -158,15 +157,17 @@ def test_extreme_gate_biases_stay_finite(rng, shift):
 def test_single_timestep_sequence(rng):
     p = _params(rng)
     seq = rng.normal(size=(2, 1, 8))
-    par = mlstm_sequence(Tensor(seq), p, direction="forward").data
-    ser = mlstm_sequence_serial(seq, p, direction="forward")
-    np.testing.assert_allclose(par, ser, rtol=1e-10)
+    par = mlstm_sequence(Tensor(seq), p).data
+    np.testing.assert_allclose(par, _loop(seq, p), rtol=1e-10)
 
 
 def test_bad_direction_rejected(rng):
-    p = _params(rng)
-    with pytest.raises(ContractError):
-        mlstm_sequence(Tensor(np.zeros((1, 4, 8))), p, direction="backward")
+    # a block given any other direction must not quietly run forward
+    p = init_vil_params(rng, model_dim=6, direction="forward", heads=3, dtype=np.float64)
+    with pytest.raises(ContractError, match="'backward'"):
+        vil_block(Tensor(np.zeros((1, 4, 6))), dataclasses.replace(p, direction="backward"))
+    with pytest.raises(ContractError, match="'backward'"):
+        init_vil_params(rng, model_dim=6, direction="backward")
 
 
 def test_embed_dim_head_divisibility():
@@ -182,11 +183,11 @@ def test_embed_dim_head_divisibility():
 @pytest.mark.parametrize("shape", [(2, 3, 4, 5), (1, 2, 3, 4, 5)])
 def test_volume_sequence_roundtrip(rng, shape):
     x = rng.normal(size=shape).astype(np.float32)
-    view = volume_to_sequence(Tensor(x))
+    seq = volume_to_sequence(Tensor(x))
     b, c = shape[0], shape[1]
     length = int(np.prod(shape[2:]))
-    assert view.seq.shape == (b, length, c)
-    back = sequence_to_volume(view)
+    assert seq.shape == (b, length, c)
+    back = sequence_to_volume(seq, shape[2:])
     np.testing.assert_array_equal(back.data, x)
 
 
@@ -194,8 +195,8 @@ def test_volume_to_sequence_is_row_major(rng):
     # scanning a (1, 1, 2, 3) volume: sequence order is the raster order of
     # the spatial grid
     x = np.arange(6, dtype=np.float32).reshape(1, 1, 2, 3)
-    view = volume_to_sequence(Tensor(x))
-    np.testing.assert_array_equal(view.seq.data[0, :, 0], np.arange(6))
+    seq = volume_to_sequence(Tensor(x))
+    np.testing.assert_array_equal(seq.data[0, :, 0], np.arange(6))
 
 
 def test_quadratic_form_keeps_few_full_arrays_for_backward(rng):
@@ -352,13 +353,7 @@ def test_vil_block_has_residual_path(rng):
 
 
 def test_reverse_vil_block_mirrors_forward(rng):
-    pf = init_vil_params(rng, model_dim=6, direction="forward", heads=3, dtype=np.float64)
-    pr = init_vil_params(
-        np.random.default_rng(123), model_dim=6, direction="reverse", heads=3, dtype=np.float64
-    )
-    # copy weights so both blocks are identical up to direction
-    for (_, a), (_, b) in zip(pf.tensors(), pr.tensors()):
-        b.data = a.data.copy()
+    pf, pr = _vil_pair(rng)
     seq = rng.normal(size=(2, 5, 6))
     fwd_flipped = np.flip(vil_block(Tensor(np.flip(seq, 1).copy()), pf).data, 1)
     rev = vil_block(Tensor(seq), pr).data
@@ -380,9 +375,7 @@ def test_xlstm_block_shape_and_no_outer_residual(rng):
     # (normalized) input, so the whole becomes pre-norm(x) passed through
     # twice — i.e. pre-norm(x), not pre-norm(x) + x
     from xlunet.nnops import layer_norm
-    from xlunet.vil import volume_to_sequence as v2s
 
-    view = v2s(x)
-    normed = layer_norm(view.seq, p.pre_gamma, p.pre_beta)
-    want = sequence_to_volume(SequenceView(normed, view.spatial)).data
+    normed = layer_norm(volume_to_sequence(x), p.pre_gamma, p.pre_beta)
+    want = sequence_to_volume(normed, x.shape[2:]).data
     np.testing.assert_allclose(out2, want, rtol=1e-10, atol=1e-12)
