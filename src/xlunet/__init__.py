@@ -1,6 +1,7 @@
 """xlunet: a from-scratch segmentation stack — dense tensors with
 reverse-mode autodiff, matrix-memory sequence blocks inside a U-Net, and
-the training/evaluation tooling around them.  numpy + scipy only."""
+the training/evaluation tooling around them.  numpy + scipy only, and
+scipy only for the evaluation metrics, which import it on first use."""
 
 from .data import (
     DatasetInfo,

@@ -26,16 +26,20 @@ not change.  Two empty masks crop to an empty array.
 
 The production path leans on scipy.ndimage for the distance transform and
 component labelling; the tests pin every value against independent
-hand-rolled implementations.
+hand-rolled implementations.  This is the only module that uses scipy, and
+it imports ``scipy.ndimage`` when a metric first reaches it, not at import:
+importing xlunet, training, prediction and the gradient checks load no scipy
+module.  ``ndimage`` stays a module global that the metrics look up at call
+time, so it can be wrapped or patched.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import types
 
 import numpy as np
-from scipy import ndimage
 
 from .tensor import ContractError
 
@@ -54,6 +58,21 @@ __all__ = [
 ]
 
 METRIC_NAMES = ("dsc", "nsd", "hd95", "f1")
+
+
+class _OnDemandNdimage(types.ModuleType):
+    """``scipy.ndimage``, imported on the first attribute it is asked for.
+
+    Not entered in ``sys.modules``; attributes set on it (a patched
+    ``distance_transform_edt``) shadow the real module's."""
+
+    def __getattr__(self, name):
+        from scipy import ndimage
+
+        return getattr(ndimage, name)
+
+
+ndimage = _OnDemandNdimage("scipy.ndimage")
 
 
 def _as_mask(m, name: str) -> np.ndarray:

@@ -73,10 +73,8 @@ def adamw_step(
         raise ContractError(f"adamw_step: negative learning rate {lr}")
     if set(state.exp_avg) != set(params):
         raise ContractError("adamw_step: state was initialized for a different parameter set")
-    state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - cfg.beta1**t
-    bc2 = 1.0 - cfg.beta2**t
+    # every gradient is checked before anything changes, so an error leaves
+    # the parameters, the moments and step_count as they were
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -87,6 +85,12 @@ def adamw_step(
             )
         if not np.isfinite(g).all():
             raise NumericsError(f"adamw_step: non-finite gradient for parameter {name!r}")
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - cfg.beta1**t
+    bc2 = 1.0 - cfg.beta2**t
+    for name, p in params.items():
+        g = p.grad
         if cfg.weight_decay:
             p.data *= 1.0 - lr * cfg.weight_decay
         m = state.exp_avg[name]

@@ -615,12 +615,18 @@ def log(x: Tensor) -> Tensor:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # metrics.py loads scipy.special with scipy.ndimage; importing it here at
-    # module level, before that, made ``import xlunet`` ~30 ms slower
-    from scipy import special
-
-    # expit never overflows: it saturates to exactly 0 / 1 in x's dtype
-    return special.expit(x)
+    # 1 / (1 + exp(-x)) in place, in numpy, so that training, prediction and
+    # the gradient checks load no scipy module (metrics.py imports
+    # scipy.ndimage when a metric first needs it).  Below -88.7 (float32) or
+    # -709.8 (float64) exp overflows to inf, and 1 / inf is the exact 0 the
+    # sigmoid saturates to, so that one overflow is expected and silenced;
+    # large x gives exp -> 0 and exactly 1.  Outputs that would be subnormal
+    # come out as 0 or with fewer significant bits.
+    y = np.negative(x, out=np.empty_like(x))  # an array even when x is 0-d
+    with np.errstate(over="ignore"):
+        np.exp(y, out=y)
+    y += 1.0
+    return np.reciprocal(y, out=y)
 
 
 def sigmoid(x: Tensor) -> Tensor:

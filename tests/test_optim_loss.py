@@ -80,20 +80,51 @@ def test_lr_override_beats_config():
     np.testing.assert_allclose(p["w"].data, [1.0 - 0.05], rtol=1e-6)
 
 
-def test_missing_grad_is_an_error():
-    p = {"w": _param([1.0])}
+def _stepped_once(names):
+    """Parameters that have taken one AdamW step, so the moments are not zero."""
+    p = {n: _param([1.0, -2.0]) for n in names}
+    for t in p.values():
+        t.grad = np.array([0.5, -0.25], dtype=np.float32)
     state = init_adamw(p)
+    adamw_step(p, state, AdamWConfig())
+    return p, state
+
+
+def _snapshot(p, state):
+    return (
+        state.step_count,
+        {n: t.data.copy() for n, t in p.items()},
+        {n: m.copy() for n, m in state.exp_avg.items()},
+        {n: v.copy() for n, v in state.exp_avg_sq.items()},
+    )
+
+
+def _assert_unchanged(p, state, before):
+    count, data, m, v = before
+    assert state.step_count == count
+    for n in p:
+        np.testing.assert_array_equal(p[n].data, data[n], strict=True)
+        np.testing.assert_array_equal(state.exp_avg[n], m[n], strict=True)
+        np.testing.assert_array_equal(state.exp_avg_sq[n], v[n], strict=True)
+
+
+def test_missing_grad_is_an_error():
+    p, state = _stepped_once(["a", "w"])
+    p["w"].grad = None
+    before = _snapshot(p, state)
     with pytest.raises(ContractError, match="'w'"):
         adamw_step(p, state, AdamWConfig())
+    # "a" precedes "w" and has a gradient, yet nothing was stepped
+    _assert_unchanged(p, state, before)
 
 
 def test_nonfinite_grad_names_the_parameter():
-    p = {"good": _param([1.0]), "bad.weight": _param([1.0])}
-    p["good"].grad = np.zeros(1, dtype=np.float32)
-    p["bad.weight"].grad = np.array([np.nan], dtype=np.float32)
-    state = init_adamw(p)
+    p, state = _stepped_once(["good", "bad.weight"])
+    p["bad.weight"].grad = np.array([np.nan, 1.0], dtype=np.float32)
+    before = _snapshot(p, state)
     with pytest.raises(NumericsError, match="bad.weight"):
         adamw_step(p, state, AdamWConfig())
+    _assert_unchanged(p, state, before)
 
 
 def test_param_set_mismatch_detected():

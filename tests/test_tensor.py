@@ -118,18 +118,30 @@ def test_sigmoid_extreme_inputs_are_stable():
 
 @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-6), (np.float64, 1e-14)])
 def test_sigmoid_and_silu_saturate_to_the_closed_form(dtype, rtol):
-    xs = [-1000.0, -50.0, 50.0, 1000.0]
+    # a dense grid of step 1/64 (exact in float32) over [-120, 120] crosses
+    # float32's exp overflow at -88.7 and both dtypes' rounding to 1
+    xs = np.concatenate([[-1000.0, -50.0, 50.0, 1000.0], np.arange(-120 * 64, 120 * 64 + 1) / 64])
     # the closed form, evaluated on the side where exp cannot overflow
-    sig = np.array([math.exp(v) / (1 + math.exp(v)) if v < 0 else 1 / (1 + math.exp(-v)) for v in xs])
-    x = Tensor(np.array(xs, dtype=dtype), requires_grad=True)
+    sig = np.array([math.exp(v) / (1 + math.exp(v)) if v < 0 else 1 / (1 + math.exp(-v)) for v in xs.tolist()])
+    x = Tensor(xs.astype(dtype), requires_grad=True)
     with Graph() as g:
         s = T.sigmoid(x)
         y = T.silu(x)
         loss = T.add(T.reduce_sum(s), T.reduce_sum(y))
     backward(loss, g)
-    for out, want in ((s.data, sig), (y.data, np.array(xs) * sig)):
+    # below the dtype's smallest normal too few bits are left for rtol
+    tiny = np.finfo(dtype).tiny
+    normal = sig >= tiny
+    for out, want in ((s.data, sig), (y.data, xs * sig)):
         assert out.dtype == dtype and np.isfinite(out).all()
-        np.testing.assert_allclose(out, want, rtol=rtol, atol=0)
+        np.testing.assert_allclose(out[normal], want[normal], rtol=rtol, atol=0)
+    assert ((s.data[~normal] >= 0) & (s.data[~normal] < tiny)).all()
+    assert ((y.data[~normal] <= 0) & (y.data[~normal] >= xs[~normal] * tiny)).all()
+    # where the closed form rounds to exactly 0 or 1, so does the op
+    rounded = sig.astype(dtype)
+    saturated = (rounded == 0) | (rounded == 1)
+    np.testing.assert_array_equal(s.data[saturated], rounded[saturated])
+    np.testing.assert_array_equal(y.data[saturated], (x.data * rounded)[saturated])
     assert np.isfinite(x.grad).all()
 
 

@@ -1,6 +1,10 @@
-"""Run configs, training loop artifacts, resume, prediction."""
+"""Run configs, training loop artifacts, resume, prediction, and the
+modules they load."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,8 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import xlunet
 import xlunet.train as train
 from xlunet.data import XtenError, generate_dataset, load_case, load_dataset
+from xlunet.metrics import evaluate_case
 from xlunet.network import build_network
 from xlunet.optim import init_adamw
 from xlunet.tensor import ContractError, Tensor
@@ -540,3 +546,57 @@ def test_run_eval_rejects_bad_label_files_by_name(tmp_path, side, bad):
     with pytest.raises(ContractError, match="case_000.xten"):
         run_eval(dirs["pred"], dirs["gt"], tmp_path / "rep.jsonl")
     assert not (tmp_path / "rep.jsonl").exists()
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+
+_NUMPY_ONLY_PATHS = """
+import json, sys
+from pathlib import Path
+import numpy as np
+import xlunet
+from xlunet import finite_diff_check, init_vil_params, vil_block
+from xlunet.data import load_case, load_dataset
+from xlunet.metrics import evaluate_case
+from xlunet.tensor import Tensor, reduce_sum
+from xlunet.train import RunConfig, load_checkpoint, predict_volume, restore_network, run_training
+
+data, out = sys.argv[1:3]
+cfg = RunConfig(patch_size=(32, 32), num_classes=3, num_stages=2, base_channels=4, variant="enc",
+                heads=2, batch_size=2, max_epochs=1, steps_per_epoch=1, seed=3)
+assert run_training(cfg, data, out).global_step == 1
+net, _ = restore_network(load_checkpoint(Path(out) / "checkpoints" / "latest"))
+image, _ = load_case(load_dataset(data), "case_000")
+assert predict_volume(net, image, tile=True).shape == (32, 32)
+rng = np.random.default_rng(0)
+params = init_vil_params(rng, model_dim=6, direction="reverse", heads=3, dtype=np.float64)
+seq = Tensor(rng.uniform(-1, 1, (2, 5, 6)), requires_grad=True)
+inputs = [seq] + [t for _, t in params.tensors()]
+assert finite_diff_check(lambda: reduce_sum(vil_block(seq, params)), inputs).passed
+before = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+scores = evaluate_case(np.load(Path(out) / "pred.npy"), np.load(Path(out) / "gt.npy"), num_classes=3)
+print(json.dumps({"scipy_before_eval": before, "ndimage_after_eval": "scipy.ndimage" in sys.modules,
+                  "scores": {str(c): v for c, v in scores.items()}}))
+"""
+
+
+def test_train_predict_and_gradcheck_load_no_scipy(dataset, tmp_path):
+    # a fresh interpreter, so that nothing this test process imported counts
+    rng = np.random.default_rng(11)
+    pred = rng.integers(0, 3, size=(12, 10)).astype(np.int32)
+    gt = rng.integers(0, 3, size=(12, 10)).astype(np.int32)
+    np.save(tmp_path / "pred.npy", pred)
+    np.save(tmp_path / "gt.npy", gt)
+    env = dict(os.environ, PYTHONPATH=str(Path(xlunet.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ONLY_PATHS, str(dataset), str(tmp_path)],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert child["scipy_before_eval"] == []
+    # evaluation loads scipy.ndimage on demand, and scores as in this process
+    assert child["ndimage_after_eval"]
+    want = evaluate_case(pred, gt, num_classes=3)
+    assert child["scores"] == {str(c): v for c, v in want.items()}
