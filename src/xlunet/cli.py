@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .data import XtenError, generate_dataset, read_xten, write_xten
-from .gradcheck import run_checks
+from .gradcheck import corrupted_backward, run_checks
 from .metrics import METRIC_NAMES
 from .tensor import ContractError, NumericsError
 from .train import (
@@ -104,7 +105,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    results = run_checks(module=args.module, seed=args.seed, corrupt=args.corrupt)
+    with corrupted_backward() if args.corrupt else nullcontext():
+        results = run_checks(module=args.module, seed=args.seed)
     for r in results:
         print(r.line())
     n_fail = sum(1 for r in results if not r.passed)

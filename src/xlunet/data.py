@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import ContractError
+from .tensor import ContractError, _rng_stream
 
 __all__ = [
     "XtenError",
@@ -226,10 +226,6 @@ class DatasetInfo:
     seed: int
 
 
-def _case_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-
-
 def _synthesize_case(
     rng: np.random.Generator, classes: int, size: tuple[int, ...], noise: float = 0.1
 ):
@@ -285,7 +281,7 @@ def generate_dataset(
     (root / "labels").mkdir(parents=True, exist_ok=True)
     cases = [f"case_{i:03d}" for i in range(num_cases)]
     for idx, case_id in enumerate(cases):
-        image, label = _synthesize_case(_case_rng(seed, idx), classes, size)
+        image, label = _synthesize_case(_rng_stream(seed, idx), classes, size)
         write_xten(root / "images" / f"{case_id}.xten", image)
         write_xten(root / "labels" / f"{case_id}.xten", label)
     manifest = {
@@ -351,14 +347,19 @@ def load_case(info: DatasetInfo, case_id: str):
 # patch sampling
 
 
+def _centre_pads(sp, patch) -> list[tuple[int, int]]:
+    """The ``(before, after)`` zero padding that centres each spatial dim of
+    ``sp`` shorter than ``patch`` in a patch-long one (the odd voxel goes
+    after); ``(0, 0)`` for a dim that is long enough."""
+    pads = [max(0, p - n) for p, n in zip(patch, sp)]
+    return [(d // 2, d - d // 2) for d in pads]
+
+
 def _pad_to_patch(image: np.ndarray, label: np.ndarray, patch: tuple[int, ...]):
     """Zero-pad (symmetrically) any spatial dim smaller than the patch."""
-    sp = image.shape[1:]
-    pads = [max(0, p - n) for p, n in zip(patch, sp)]
-    if not any(pads):
+    pairs = _centre_pads(image.shape[1:], patch)
+    if not any(map(any, pairs)):
         return image, label
-    before = [d // 2 for d in pads]
-    pairs = [(b, d - b) for b, d in zip(before, pads)]
     image = np.pad(image, [(0, 0)] + pairs)
     label = np.pad(label, pairs)
     return image, label

@@ -28,7 +28,7 @@ import numpy as np
 from . import tensor as T
 from .nnops import conv_nd, conv_transpose_nd, instance_norm, softmax
 from .tensor import ContractError, NumericsError, Tensor
-from .vil import XlstmBlockParams, init_xlstm_params, xlstm_block
+from .vil import XlstmBlockParams, _uniform, init_xlstm_params, xlstm_block
 
 __all__ = [
     "NetworkConfig",
@@ -120,22 +120,13 @@ class _Registry:
             self.add(f"{prefix}.{name}", t)
 
 
-def _conv_weight(rng, out_ch, in_ch, kernel, dtype=np.float32) -> Tensor:
-    fan_in = in_ch * int(np.prod(kernel))
-    bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(
-        rng.uniform(-bound, bound, size=(out_ch, in_ch) + tuple(kernel)).astype(dtype),
-        requires_grad=True,
-    )
-
-
 class _Conv:
     """Plain convolution, optional bias."""
 
     def __init__(self, reg, name, rng, in_ch, out_ch, kernel, stride, padding, bias=True):
         self.stride = stride
         self.padding = padding
-        self.w = _conv_weight(rng, out_ch, in_ch, kernel)
+        self.w = _uniform(rng, (out_ch, in_ch) + kernel, in_ch * int(np.prod(kernel)), np.float32)
         reg.add(f"{name}.w", self.w)
         self.b = None
         if bias:
@@ -150,13 +141,7 @@ class _UpConv:
     """Stride-2 transposed convolution with a 2^rank kernel (exact doubling)."""
 
     def __init__(self, reg, name, rng, in_ch, out_ch, rank):
-        kernel = (2,) * rank
-        fan_in = in_ch * int(np.prod(kernel))
-        bound = 1.0 / np.sqrt(fan_in)
-        self.w = Tensor(
-            rng.uniform(-bound, bound, size=(in_ch, out_ch) + kernel).astype(np.float32),
-            requires_grad=True,
-        )
+        self.w = _uniform(rng, (in_ch, out_ch) + (2,) * rank, in_ch * 2**rank, np.float32)
         self.b = Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True)
         reg.add(f"{name}.w", self.w)
         reg.add(f"{name}.b", self.b)
@@ -231,7 +216,7 @@ class Network:
         self.config = config
         rank = len(config.patch_size)
         reg = _Registry()
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)))
+        rng = T._rng_stream(config.seed, 0)
 
         self.stem = _Conv(
             reg, "stem.conv", rng, config.in_channels, config.stage_channels(0), (3,) * rank, 2, 1

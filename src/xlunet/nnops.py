@@ -62,7 +62,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import ContractError, Tensor, record
+from .tensor import ContractError, Tensor, _check_operands, _norm_axes, record
 
 __all__ = [
     "conv_nd",
@@ -268,20 +268,22 @@ def _conv_t(y: np.ndarray, w: np.ndarray, stride, padding, out_sp) -> np.ndarray
     return out
 
 
-def _check_conv_args(x: Tensor, w: Tensor, bias, op: str) -> int:
-    for t in (x, w) + ((bias,) if bias is not None else ()):
-        if not isinstance(t, Tensor):
-            raise ContractError(f"{op}: inputs must be Tensors")
-        if t.data.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-            raise ContractError(f"{op}: requires float tensors, got {t.data.dtype}")
-        if t.data.dtype != x.data.dtype:
-            raise ContractError(f"{op}: mixed dtypes")
+def _check_conv_args(inputs: tuple, op: str, transpose: bool) -> tuple[int, int, int]:
+    """Check the ``(x, w[, bias])`` operands of a convolution whose weight is
+    (out, in, *k), or (in, out, *k) when ``transpose``; (rank, in, out)."""
+    _check_operands(op, inputs)
+    x, w = inputs[:2]
     rank = w.ndim - 2
     if rank not in (1, 2, 3):
         raise ContractError(f"{op}: weight must be rank 3..5 (1-3 spatial dims), got shape {w.shape}")
     if x.ndim != rank + 2:
         raise ContractError(f"{op}: input shape {x.shape} does not match weight shape {w.shape}")
-    return rank
+    cin, cout = w.shape[:2] if transpose else w.shape[1::-1]
+    if cin != x.shape[1]:
+        raise ContractError(f"{op}: input has {x.shape[1]} channels, weight expects {cin}")
+    if len(inputs) == 3 and inputs[2].shape != (cout,):
+        raise ContractError(f"{op}: bias shape {inputs[2].shape} != ({cout},)")
+    return rank, cin, cout
 
 
 def conv_nd(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1, padding=0) -> Tensor:
@@ -289,16 +291,11 @@ def conv_nd(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1, padding=
 
     ``out[d] = (sp[d] + 2*padding[d] - k[d]) // stride[d] + 1``.
     """
-    rank = _check_conv_args(x, w, bias, "conv_nd")
+    inputs = (x, w) if bias is None else (x, w, bias)
+    rank, _, cout = _check_conv_args(inputs, "conv_nd", transpose=False)
     stride = _per_axis(stride, rank, "stride")
     padding = _per_axis(padding, rank, "padding")
-    cin = x.shape[1]
-    cout, cin_w = w.shape[:2]
     k = w.shape[2:]
-    if cin_w != cin:
-        raise ContractError(f"conv_nd: input has {cin} channels, weight expects {cin_w}")
-    if bias is not None and bias.shape != (cout,):
-        raise ContractError(f"conv_nd: bias shape {bias.shape} != ({cout},)")
     sp = x.shape[2:]
     out_sp = tuple(
         (n + 2 * p - kk) // s + 1 for n, p, kk, s in zip(sp, padding, k, stride)
@@ -325,7 +322,6 @@ def conv_nd(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1, padding=
             return gx, gw
         return gx, gw, g.sum(axis=(0,) + tuple(range(2, 2 + rank)))
 
-    inputs = (x, w) if bias is None else (x, w, bias)
     return record(out, inputs, vjp)
 
 
@@ -343,18 +339,11 @@ def conv_transpose_nd(
     ``output_size`` may pick any other spatial size that the forward conv
     would have floored to the same ``sp`` (resolves the stride ambiguity).
     """
-    rank = _check_conv_args(x, w, bias, "conv_transpose_nd")
+    inputs = (x, w) if bias is None else (x, w, bias)
+    rank, cin, cout = _check_conv_args(inputs, "conv_transpose_nd", transpose=True)
     stride = _per_axis(stride, rank, "stride")
     padding = _per_axis(padding, rank, "padding")
-    cin = x.shape[1]
-    cin_w, cout = w.shape[:2]
     k = w.shape[2:]
-    if cin_w != cin:
-        raise ContractError(
-            f"conv_transpose_nd: input has {cin} channels, weight expects {cin_w}"
-        )
-    if bias is not None and bias.shape != (cout,):
-        raise ContractError(f"conv_transpose_nd: bias shape {bias.shape} != ({cout},)")
     sp = x.shape[2:]
     if output_size is None:
         out_sp = tuple(
@@ -390,7 +379,6 @@ def conv_transpose_nd(
             return gx, gw
         return gx, gw, g.sum(axis=(0,) + tuple(range(2, 2 + rank)))
 
-    inputs = (x, w) if bias is None else (x, w, bias)
     return record(out, inputs, vjp)
 
 
@@ -401,12 +389,8 @@ def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tens
     only; ``kernel`` is (E, width) with column ``width - 1`` as the tap on the
     current position.
     """
-    for t in (x, kernel) + ((bias,) if bias is not None else ()):
-        if not isinstance(t, Tensor) or t.data.dtype not in (
-            np.dtype(np.float32),
-            np.dtype(np.float64),
-        ):
-            raise ContractError("causal_conv1d: inputs must be float Tensors")
+    inputs = (x, kernel) if bias is None else (x, kernel, bias)
+    _check_operands("causal_conv1d", inputs)
     if x.ndim != 3 or kernel.ndim != 2 or kernel.shape[0] != x.shape[2]:
         raise ContractError(
             f"causal_conv1d: expected x (B, L, E) and kernel (E, width), got {x.shape} and {kernel.shape}"
@@ -435,7 +419,6 @@ def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tens
             return gx, gk
         return gx, gk, g.sum(axis=(0, 1))
 
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
     return record(out, inputs, vjp)
 
 
@@ -445,12 +428,6 @@ def _normalize(
     """Normalize ``x`` over ``axes``, then scale and shift by gamma/beta along
     axis ``feat``.  One tape node; population variance (no Bessel
     correction)."""
-    for t in (x, gamma, beta):
-        if not isinstance(t, Tensor) or t.data.dtype not in (
-            np.dtype(np.float32),
-            np.dtype(np.float64),
-        ):
-            raise ContractError(f"{op}: inputs must be float Tensors")
     n_feat = x.shape[feat]
     if gamma.shape != (n_feat,) or beta.shape != (n_feat,):
         raise ContractError(
@@ -484,6 +461,7 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> 
     x is (B, C, *sp); gamma/beta are per-channel scale/shift.  Population
     variance (no Bessel correction), matching the norm used at train time.
     """
+    _check_operands("instance_norm", (x, gamma, beta))
     if x.ndim < 3:
         raise ContractError(f"instance_norm: input must be (B, C, *spatial), got {x.shape}")
     return _normalize("instance_norm", x, gamma, beta, eps, tuple(range(2, x.ndim)), feat=1)
@@ -491,6 +469,7 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis; gamma/beta have that axis's length."""
+    _check_operands("layer_norm", (x, gamma, beta))
     if x.ndim < 1:
         raise ContractError("layer_norm: input must have at least one axis")
     return _normalize("layer_norm", x, gamma, beta, eps, (x.ndim - 1,), feat=x.ndim - 1)
@@ -498,14 +477,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 def softmax(x: Tensor, axis: int) -> Tensor:
     """Shift-stabilized softmax along ``axis``."""
-    if not isinstance(x, Tensor) or x.data.dtype not in (
-        np.dtype(np.float32),
-        np.dtype(np.float64),
-    ):
-        raise ContractError("softmax: input must be a float Tensor")
-    ax = axis % x.ndim if -x.ndim <= axis < x.ndim else axis
-    if not 0 <= ax < x.ndim:
-        raise ContractError(f"softmax: axis {axis} out of range for shape {x.shape}")
+    _check_operands("softmax", (x,))
+    (ax,) = _norm_axes(axis, x.ndim, "softmax")
     shifted = x.data - x.data.max(axis=ax, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=ax, keepdims=True)

@@ -10,6 +10,9 @@ the contract here is deliberately strict:
   (python number or 0-d tensor).  Any other broadcast must be spelled out
   with ``broadcast_to`` so the backward of every op mirrors its forward
   exactly; implicit numpy broadcasting is rejected on purpose.
+- ops are module functions, called as ``T.op(...)`` (``T.add(a, b)``,
+  ``T.matmul(a, w)``); ``Tensor`` has no operator overloads, so each op has
+  one spelling.
 - ops record onto the innermost active ``Graph`` only when some input
   requires grad.  With no active graph they are plain numpy (inference).
 - the tape keeps no ``Tensor`` and no array of its own.  A node is the
@@ -285,36 +288,6 @@ class Tensor:
         flags = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flags})"
 
-    # -- operator sugar ------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 # ---------------------------------------------------------------------------
 # tape
@@ -472,9 +445,32 @@ def record(out: Tensor, inputs: tuple[Tensor, ...], vjp) -> Tensor:
 # helpers
 
 
+def _rng_stream(seed: int, key: int) -> np.random.Generator:
+    """The generator of stream ``key`` under ``seed``: streams with different
+    keys are independent.  The keys in use:
+
+    - 0: parameter init (``Network``);
+    - 1: patch sampling and 2: mirror augmentation (``run_training``);
+    - the case index: each synthetic case of ``generate_dataset``;
+    - ``zlib.crc32(name)``: each check of ``run_checks``, under its own seed.
+    """
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
+
+
 def _require_float(t: Tensor, op: str) -> None:
     if t.data.dtype not in _FLOAT_DTYPES:
         raise ContractError(f"{op}: requires a float tensor, got {t.data.dtype}")
+
+
+def _check_operands(op: str, tensors) -> None:
+    """The contract of an op over a sequence of tensor operands: each one is a
+    ``Tensor``, each is float, and all share one dtype."""
+    for t in tensors:
+        if not isinstance(t, Tensor):
+            raise ContractError(f"{op}: operands must be Tensors, got {type(t).__name__}")
+        _require_float(t, op)
+        if t.data.dtype != tensors[0].data.dtype:
+            raise ContractError(f"{op}: mixed dtypes {tensors[0].data.dtype} vs {t.data.dtype}")
 
 
 def _as_tensor(x, dtype, op: str) -> Tensor:
@@ -686,12 +682,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a stack of row vectors times an unbatched weight matrix); the backward
     sums the cotangent back down to each operand's shape.
     """
-    if not isinstance(a, Tensor) or not isinstance(b, Tensor):
-        raise ContractError("matmul: both operands must be Tensors")
-    _require_float(a, "matmul")
-    _require_float(b, "matmul")
-    if a.data.dtype != b.data.dtype:
-        raise ContractError(f"matmul: mixed dtypes {a.data.dtype} vs {b.data.dtype}")
+    _check_operands("matmul", (a, b))
     if a.ndim < 2 or b.ndim < 2:
         raise ContractError(f"matmul: operands need ndim >= 2, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -859,10 +850,7 @@ def concat(tensors, axis: int) -> Tensor:
     tensors = list(tensors)
     if not tensors:
         raise ContractError("concat: need at least one tensor")
-    for t in tensors:
-        if not isinstance(t, Tensor):
-            raise ContractError("concat: all inputs must be Tensors")
-        _require_float(t, "concat")
+    _check_operands("concat", tensors)
     (ax,) = _norm_axes(axis, tensors[0].ndim, "concat")
     ref = tensors[0].shape
     for t in tensors[1:]:
@@ -870,8 +858,6 @@ def concat(tensors, axis: int) -> Tensor:
             i != ax and t.shape[i] != ref[i] for i in range(len(ref))
         ):
             raise ContractError(f"concat: shapes {[t.shape for t in tensors]} differ off axis {ax}")
-        if t.data.dtype != tensors[0].data.dtype:
-            raise ContractError("concat: mixed dtypes")
     sizes = [t.shape[ax] for t in tensors]
     out = Tensor(np.concatenate([t.data for t in tensors], axis=ax))
     bounds = np.cumsum(sizes)[:-1]

@@ -4,10 +4,11 @@ A run is described by a ``RunConfig`` (JSON on disk, read by the same strict
 reader as ``dataset.json`` and checkpoint manifests: unknown keys, wrong
 types, list elements of the wrong type and NaN/infinity are errors naming
 the field).  Training is
-deterministic end to end for a fixed config: three independent RNG streams
-are derived from the run seed (spawn key 0 = parameter init, 1 = patch
-sampling, 2 = mirror augmentation), every checkpoint stores the exact
-generator states, and resuming reproduces the uninterrupted run bit for bit.
+deterministic end to end for a fixed config: the parameter init, the patch
+sampling and the mirror augmentation each draw from their own stream of the
+run seed (the keys are listed in ``tensor._rng_stream``'s docstring), every
+checkpoint stores the exact generator states, and resuming reproduces the
+uninterrupted run bit for bit.
 The train log's wall-clock column is the one deliberately nondeterministic
 artifact.
 
@@ -42,6 +43,7 @@ import numpy as np
 
 from .data import (
     DatasetInfo,
+    _centre_pads,
     _check_fields,
     _read_json_object,
     load_case,
@@ -61,7 +63,7 @@ from .metrics import (
 )
 from .network import Network, NetworkConfig, build_network, count_parameters
 from .optim import AdamWConfig, AdamWState, adamw_step, init_adamw, lr_schedule
-from .tensor import ContractError, Graph, NumericsError, Tensor, backward
+from .tensor import ContractError, Graph, NumericsError, Tensor, _rng_stream, backward
 
 __all__ = [
     "RunConfig",
@@ -180,10 +182,6 @@ def load_run_config(path) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # checkpoints
-
-
-def _rng_stream(seed: int, key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
 
 
 def _state_digest(state: np.ndarray) -> str:
@@ -521,10 +519,8 @@ def _tiled_probs(net: Network, image: np.ndarray) -> np.ndarray:
     mean-probability stitching; windows clamp to the volume edge."""
     patch = net.config.patch_size
     sp = image.shape[1:]
-    pads = [max(0, p - n) for p, n in zip(patch, sp)]
-    before = [d // 2 for d in pads]
-    if any(pads):
-        pairs = [(b, d - b) for b, d in zip(before, pads)]
+    pairs = _centre_pads(sp, patch)
+    if any(map(any, pairs)):
         image = np.pad(image, [(0, 0)] + pairs)
     padded_sp = image.shape[1:]
 
@@ -546,7 +542,7 @@ def _tiled_probs(net: Network, image: np.ndarray) -> np.ndarray:
         acc[(slice(None),) + sl] += probs
         count[sl] += 1.0
     probs = acc / count
-    core = tuple(slice(b, b + n) for b, n in zip(before, sp))
+    core = tuple(slice(b, b + n) for (b, _), n in zip(pairs, sp))
     return probs[(slice(None),) + core]
 
 

@@ -25,7 +25,7 @@ from xlunet.data import (
     read_xten,
     write_xten,
 )
-from xlunet.gradcheck import run_checks
+from xlunet.gradcheck import corrupted_backward, run_checks
 from xlunet.metrics import dice_coefficient, hausdorff95, instance_f1, surface_dice
 from xlunet.network import NetworkConfig, build_network, count_parameters
 from xlunet.tensor import Tensor
@@ -83,7 +83,8 @@ def test_criterion_2_gradcheck_battery_passes_within_budget():
     assert not failures, failures
     assert any(r.name == "end_to_end_tiny_net" for r in results)
     assert elapsed < 300.0, f"gradcheck battery took {elapsed:.0f}s"
-    corrupted = run_checks(module="tensor", seed=0, corrupt=True)
+    with corrupted_backward():
+        corrupted = run_checks(module="tensor", seed=0)
     assert any(not r.passed for r in corrupted), "corrupted backward went undetected"
 
 

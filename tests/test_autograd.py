@@ -316,7 +316,8 @@ def test_corrupted_backward_is_detected(rng):
 
 
 def test_corrupted_backward_fails_every_conv_check():
-    results = run_checks(module="nnops", seed=0, corrupt=True)
+    with corrupted_backward():
+        results = run_checks(module="nnops", seed=0)
     convs = [r for r in results if r.name.startswith("conv")]
     assert {r.name for r in convs} >= {"conv2d", "conv_transpose2d"}
     assert not any(r.passed for r in convs), [r.line() for r in convs]

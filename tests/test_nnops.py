@@ -497,3 +497,51 @@ def test_conv_input_without_grad_gets_no_cotangent(rng, monkeypatch, op, stride,
     gx, gw = vjps[0](np.ones(out_shape))
     assert gx is None
     np.testing.assert_array_equal(gw, w_grad)
+
+
+# ---------------------------------------------------------------------------
+# the operand contract: matmul, concat, the convolutions, the norms and
+# softmax take float Tensors of one dtype, and name themselves when they
+# refuse one
+
+# op -> (call, float32 operand shapes)
+_OPERAND_CALLS = {
+    "matmul": (T.matmul, [(2, 3), (3, 4)]),
+    "concat": (lambda a, b: T.concat([a, b], axis=0), [(2, 3), (1, 3)]),
+    "conv_nd": (lambda x, w, b: N.conv_nd(x, w, b, padding=1), [(1, 2, 4, 4), (3, 2, 3, 3), (3,)]),
+    "conv_transpose_nd": (
+        lambda x, w, b: N.conv_transpose_nd(x, w, b, stride=2),
+        [(1, 2, 3, 3), (2, 3, 2, 2), (3,)],
+    ),
+    "causal_conv1d": (N.causal_conv1d, [(2, 5, 4), (4, 3), (4,)]),
+    "layer_norm": (N.layer_norm, [(2, 5, 4), (4,), (4,)]),
+    "instance_norm": (N.instance_norm, [(2, 3, 4, 4), (3,), (3,)]),
+    "softmax": (lambda x: N.softmax(x, axis=1), [(2, 3, 4)]),
+}
+# the one operand that breaks the contract, made from its float32 array
+_BAD_OPERANDS = {
+    "ndarray": lambda a: a,
+    "list": lambda a: a.tolist(),
+    "int32": lambda a: Tensor(a.astype(np.int32)),
+    "float64": lambda a: Tensor(a.astype(np.float64)),
+}
+
+
+@pytest.mark.parametrize(
+    "op,bad",
+    [
+        (op, bad)
+        for op, (_, shapes) in _OPERAND_CALLS.items()
+        for bad in _BAD_OPERANDS
+        if bad != "float64" or len(shapes) > 1  # one operand cannot mix dtypes
+    ],
+)
+def test_operand_contract_names_the_op(op, bad):
+    call, shapes = _OPERAND_CALLS[op]
+    arrays = [np.ones(s, np.float32) for s in shapes]
+    assert call(*map(Tensor, arrays)).dtype == np.float32
+    for i in range(len(arrays)):
+        args = [Tensor(a) for a in arrays]
+        args[i] = _BAD_OPERANDS[bad](arrays[i])
+        with pytest.raises(ContractError, match=f"^{op}: "):
+            call(*args)

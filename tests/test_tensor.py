@@ -72,7 +72,7 @@ def test_binary_ops_match_numpy(rng):
     np.testing.assert_allclose(T.sub(ta, tb).data, a - b, rtol=1e-6)
     np.testing.assert_allclose(T.mul(ta, tb).data, a * b, rtol=1e-6)
     np.testing.assert_allclose(T.div(ta, tb).data, a / b, rtol=1e-6)
-    np.testing.assert_allclose((-ta).data, -a, rtol=1e-6)
+    np.testing.assert_allclose(T.mul(ta, -1.0).data, -a, rtol=1e-6)
 
 
 def test_scalar_operand_allowed_but_shape_mismatch_rejected():
