@@ -62,7 +62,15 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import ContractError, Tensor, _check_operands, _norm_axes, record
+from .tensor import (
+    ContractError,
+    Tensor,
+    _check_operands,
+    _mean,
+    _norm_axes,
+    _readonly_view,
+    record,
+)
 
 __all__ = [
     "conv_nd",
@@ -80,12 +88,10 @@ _SLAB_BYTES = 512 * 1024
 
 
 def _per_axis(value, rank: int, name: str) -> tuple[int, ...]:
-    if isinstance(value, int):
-        value = (value,) * rank
-    value = tuple(int(v) for v in value)
+    value = (int(value),) * rank if isinstance(value, int) else tuple(int(v) for v in value)
     if len(value) != rank:
         raise ContractError(f"{name}: expected {rank} values, got {value}")
-    if any(v < 0 for v in value) or (name == "stride" and any(v < 1 for v in value)):
+    if min(value) < (1 if name == "stride" else 0):
         raise ContractError(f"{name}: invalid {value}")
     return value
 
@@ -130,9 +136,12 @@ def _with_slack(xp: np.ndarray, slack: int) -> np.ndarray:
     if (
         isinstance(base, np.ndarray)
         and base.ndim == 1
+        and base.dtype == xp.dtype
         and xp.flags.c_contiguous
         and base.size >= n + slack
-        and base.ctypes.data == xp.ctypes.data
+        # n contiguous elements inside base start at base[0] exactly when
+        # they stop short of base[n:] (a bounds test, no pointer read)
+        and not np.may_share_memory(xp, base[n:])
         and not base[n : n + slack].any()
     ):
         return base[: n + slack]
@@ -141,7 +150,7 @@ def _with_slack(xp: np.ndarray, slack: int) -> np.ndarray:
     return flat
 
 
-def _slabs(xp: np.ndarray, k, stride, out_sp):
+def _slabs(xp: np.ndarray, k, stride, out_sp, grid):
     """Yield ``(rows, cols)`` slab by slab along the first output axis:
     ``cols`` is the (B, C*prod(k), n) patch matrix of the padded input ``xp``
     at the output rows ``rows`` (a slice of that axis), its n columns
@@ -149,30 +158,30 @@ def _slabs(xp: np.ndarray, k, stride, out_sp):
     before asking for the next.  A one-tap kernel at stride 1 yields ``xp``
     itself as its one slab.
 
-    At stride 1 with several taps and rank >= 2, each patch row runs across
-    the whole padded width of the last axis (``_patch_grid``), ``k[-1] - 1``
-    columns past the output's end, so that the last two axes of every tap
-    are one contiguous run of ``xp`` to copy.  The last tap of the last row
-    reads that many elements past ``xp``: the slack that ``_window``
-    allocates, else ``xp`` is copied once into a buffer that has it."""
+    The columns cover the output positions ``grid`` (``_patch_grid``): at
+    stride 1 with several taps and rank >= 2, each patch row runs across the
+    whole padded width of the last axis, ``k[-1] - 1`` columns past the
+    output's end, so that the last two axes of every tap are one contiguous
+    run of ``xp`` to copy.  The last tap of the last row reads that many
+    elements past ``xp``: the slack that ``_window`` allocates, else ``xp``
+    is copied once into a buffer that has it."""
     rank = len(k)
     b, c = xp.shape[:2]
     if math.prod(k) == 1 and all(s == 1 for s in stride):
         yield slice(None), xp.reshape(b, c, -1)
         return
-    grid = _patch_grid(k, stride, out_sp)
     slack = grid[-1] - out_sp[-1]
     base, strides = xp, xp.strides
     if slack:
         base = _with_slack(xp, slack)
         strides = base[: xp.size].reshape(xp.shape).strides
     sb, sc, *ssp = strides
-    view = as_strided(
-        base,
-        (b, c) + tuple(k) + grid,
-        (sb, sc) + tuple(ssp) + tuple(s * st for s, st in zip(ssp, stride)),
-        writeable=False,
-    )
+    shape = (b, c) + tuple(k) + grid
+    strides = (sb, sc) + tuple(ssp) + tuple(s * st for s, st in zip(ssp, stride))
+    if base.flags.c_contiguous:
+        view = _readonly_view(base, shape, strides)
+    else:
+        view = as_strided(base, shape, strides, writeable=False)
     rest = math.prod(grid[1:])
     ck = c * math.prod(k)
     rows = min(out_sp[0], max(1, _SLAB_BYTES // (b * ck * rest * xp.itemsize)))
@@ -213,7 +222,7 @@ def _patch_gemm(xp, k, stride, out_sp, lhs=None, g=None):
             g = gp
         g2 = g.reshape(b, g.shape[1], -1)
         gwt = np.zeros((xp.shape[1] * math.prod(k), g.shape[1]), xp.dtype)
-    for rows, cols in _slabs(xp, k, stride, out_sp):
+    for rows, cols in _slabs(xp, k, stride, out_sp, grid):
         r0, r1, _ = rows.indices(out_sp[0])
         sl, n = slice(r0 * rest, r1 * rest), cols.shape[2]
         if y is not None and not slack:
@@ -272,17 +281,17 @@ def _check_conv_args(inputs: tuple, op: str, transpose: bool) -> tuple[int, int,
     """Check the ``(x, w[, bias])`` operands of a convolution whose weight is
     (out, in, *k), or (in, out, *k) when ``transpose``; (rank, in, out)."""
     _check_operands(op, inputs)
-    x, w = inputs[:2]
-    rank = w.ndim - 2
+    xs, ws = inputs[0].data.shape, inputs[1].data.shape
+    rank = len(ws) - 2
     if rank not in (1, 2, 3):
-        raise ContractError(f"{op}: weight must be rank 3..5 (1-3 spatial dims), got shape {w.shape}")
-    if x.ndim != rank + 2:
-        raise ContractError(f"{op}: input shape {x.shape} does not match weight shape {w.shape}")
-    cin, cout = w.shape[:2] if transpose else w.shape[1::-1]
-    if cin != x.shape[1]:
-        raise ContractError(f"{op}: input has {x.shape[1]} channels, weight expects {cin}")
-    if len(inputs) == 3 and inputs[2].shape != (cout,):
-        raise ContractError(f"{op}: bias shape {inputs[2].shape} != ({cout},)")
+        raise ContractError(f"{op}: weight must be rank 3..5 (1-3 spatial dims), got shape {ws}")
+    if len(xs) != rank + 2:
+        raise ContractError(f"{op}: input shape {xs} does not match weight shape {ws}")
+    cin, cout = ws[:2] if transpose else ws[1::-1]
+    if cin != xs[1]:
+        raise ContractError(f"{op}: input has {xs[1]} channels, weight expects {cin}")
+    if len(inputs) == 3 and inputs[2].data.shape != (cout,):
+        raise ContractError(f"{op}: bias shape {inputs[2].data.shape} != ({cout},)")
     return rank, cin, cout
 
 
@@ -295,8 +304,8 @@ def conv_nd(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1, padding=
     rank, _, cout = _check_conv_args(inputs, "conv_nd", transpose=False)
     stride = _per_axis(stride, rank, "stride")
     padding = _per_axis(padding, rank, "padding")
-    k = w.shape[2:]
-    sp = x.shape[2:]
+    k = w.data.shape[2:]
+    sp = x.data.shape[2:]
     out_sp = tuple(
         (n + 2 * p - kk) // s + 1 for n, p, kk, s in zip(sp, padding, k, stride)
     )
@@ -343,8 +352,8 @@ def conv_transpose_nd(
     rank, cin, cout = _check_conv_args(inputs, "conv_transpose_nd", transpose=True)
     stride = _per_axis(stride, rank, "stride")
     padding = _per_axis(padding, rank, "padding")
-    k = w.shape[2:]
-    sp = x.shape[2:]
+    k = w.data.shape[2:]
+    sp = x.data.shape[2:]
     if output_size is None:
         out_sp = tuple(
             (n - 1) * s - 2 * p + kk for n, s, p, kk in zip(sp, stride, padding, k)
@@ -391,22 +400,24 @@ def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tens
     """
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
     _check_operands("causal_conv1d", inputs)
-    if x.ndim != 3 or kernel.ndim != 2 or kernel.shape[0] != x.shape[2]:
+    xd, kd = x.data, kernel.data
+    if xd.ndim != 3 or kd.ndim != 2 or kd.shape[0] != xd.shape[2]:
         raise ContractError(
-            f"causal_conv1d: expected x (B, L, E) and kernel (E, width), got {x.shape} and {kernel.shape}"
+            f"causal_conv1d: expected x (B, L, E) and kernel (E, width), got {xd.shape} and {kd.shape}"
         )
-    if bias is not None and bias.shape != (x.shape[2],):
-        raise ContractError(f"causal_conv1d: bias shape {bias.shape} != ({x.shape[2]},)")
-    b, length, emb = x.shape
-    width = kernel.shape[1]
-    xp = np.pad(x.data, ((0, 0), (width - 1, 0), (0, 0)))
-    y = np.zeros_like(x.data)
+    if bias is not None and bias.data.shape != (xd.shape[2],):
+        raise ContractError(f"causal_conv1d: bias shape {bias.data.shape} != ({xd.shape[2]},)")
+    b, length, emb = xd.shape
+    width = kd.shape[1]
+    xp = np.zeros((b, length + width - 1, emb), xd.dtype)
+    xp[:, width - 1 :] = xd
+    y = np.zeros_like(xd)
     for tap in range(width):
-        y += xp[:, tap : tap + length, :] * kernel.data[:, tap]
+        y += xp[:, tap : tap + length, :] * kd[:, tap]
     if bias is not None:
         y = y + bias.data
     out = Tensor(y)
-    kd, has_bias = kernel.data, bias is not None
+    has_bias = bias is not None
 
     def vjp(g):
         gxp = np.zeros_like(xp)
@@ -428,18 +439,17 @@ def _normalize(
     """Normalize ``x`` over ``axes``, then scale and shift by gamma/beta along
     axis ``feat``.  One tape node; population variance (no Bessel
     correction)."""
-    n_feat = x.shape[feat]
-    if gamma.shape != (n_feat,) or beta.shape != (n_feat,):
+    xd = x.data
+    n_feat = xd.shape[feat]
+    if gamma.data.shape != (n_feat,) or beta.data.shape != (n_feat,):
         raise ContractError(
             f"{op}: gamma/beta must have shape ({n_feat},), got {gamma.shape} and {beta.shape}"
         )
-    rest = tuple(range(feat)) + tuple(range(feat + 1, x.ndim))
-    mu = x.data.mean(axis=axes, keepdims=True)
-    centered = x.data - mu
-    var = np.mean(centered * centered, axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    rest = tuple(range(feat)) + tuple(range(feat + 1, xd.ndim))
+    centered = xd - _mean(xd, axes)
+    inv = 1.0 / np.sqrt(_mean(centered * centered, axes) + eps)
     xhat = centered * inv
-    gshape = (n_feat,) + (1,) * (x.ndim - 1 - feat)  # broadcasts along ``feat``
+    gshape = (n_feat,) + (1,) * (xd.ndim - 1 - feat)  # broadcasts along ``feat``
     gd = gamma.data.reshape(gshape)
     out = Tensor(gd * xhat + beta.data.reshape(gshape))
 
@@ -447,9 +457,7 @@ def _normalize(
         ggamma = (g * xhat).sum(axis=rest)
         gbeta = g.sum(axis=rest)
         gh = g * gd
-        gh_mean = gh.mean(axis=axes, keepdims=True)
-        ghx_mean = (gh * xhat).mean(axis=axes, keepdims=True)
-        gx = inv * (gh - gh_mean - xhat * ghx_mean)
+        gx = inv * (gh - _mean(gh, axes) - xhat * _mean(gh * xhat, axes))
         return gx, ggamma, gbeta
 
     return record(out, (x, gamma, beta), vjp)

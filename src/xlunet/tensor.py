@@ -65,6 +65,8 @@ that leaves the finite range surfaces at the network output check.
 from __future__ import annotations
 
 import ctypes
+import itertools
+import math
 import os
 import sys
 
@@ -206,8 +208,8 @@ class _flush_subnormals:
         return False
 
 
-_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-_SUPPORTED_DTYPES = _FLOAT_DTYPES + (np.dtype(np.int32), np.dtype(np.uint8))
+_FLOAT_DTYPES = frozenset((np.dtype(np.float32), np.dtype(np.float64)))
+_SUPPORTED_DTYPES = _FLOAT_DTYPES | {np.dtype(np.int32), np.dtype(np.uint8)}
 
 
 class ContractError(ValueError):
@@ -233,17 +235,20 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_token")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if isinstance(data, Tensor):
-            raise ContractError("Tensor(data): wrap raw arrays, not another Tensor")
-        arr = np.asarray(data, dtype=dtype)
-        if dtype is None and not isinstance(data, (np.ndarray, np.generic)):
-            # python scalars / lists arrive as float64 / int64; keep the
-            # package's working precision instead.  numpy arrays *and*
-            # numpy scalars carry an explicit dtype and keep it.
-            if arr.dtype == np.float64:
-                arr = arr.astype(np.float32)
-            elif arr.dtype == np.int64:
-                arr = arr.astype(np.int32)
+        if type(data) is np.ndarray and dtype is None:
+            arr = data  # what every op hands over: np.asarray would return it
+        else:
+            if isinstance(data, Tensor):
+                raise ContractError("Tensor(data): wrap raw arrays, not another Tensor")
+            arr = np.asarray(data, dtype=dtype)
+            if dtype is None and not isinstance(data, (np.ndarray, np.generic)):
+                # python scalars / lists arrive as float64 / int64; keep the
+                # package's working precision instead.  numpy arrays *and*
+                # numpy scalars carry an explicit dtype and keep it.
+                if arr.dtype == np.float64:
+                    arr = arr.astype(np.float32)
+                elif arr.dtype == np.int64:
+                    arr = arr.astype(np.int32)
         if arr.dtype not in _SUPPORTED_DTYPES:
             raise ContractError(
                 f"unsupported dtype {arr.dtype}; supported: float32, float64, int32, uint8"
@@ -342,7 +347,7 @@ class Graph:
         return token
 
     def _add_node(self, out: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
-        tokens = tuple(self._input_token(t) for t in inputs)
+        tokens = tuple([self._input_token(t) for t in inputs])
         token = out._token = object()
         self._produced.add(token)
         self._nodes.append((token, tokens, vjp))
@@ -431,13 +436,13 @@ def record(out: Tensor, inputs: tuple[Tensor, ...], vjp) -> Tensor:
     close over the arrays its backward reads, not over tensors: whatever it
     captures lives until the sweep passes its node.
     """
-    g = _active_graph()
-    if g is None:
+    if not _GRAPH_STACK:
         return out
-    if not any(t.requires_grad for t in inputs):
-        return out
-    out.requires_grad = True
-    g._add_node(out, inputs, vjp)
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad = True
+            _GRAPH_STACK[-1]._add_node(out, inputs, vjp)
+            return out
     return out
 
 
@@ -465,18 +470,26 @@ def _require_float(t: Tensor, op: str) -> None:
 def _check_operands(op: str, tensors) -> None:
     """The contract of an op over a sequence of tensor operands: each one is a
     ``Tensor``, each is float, and all share one dtype."""
+    first = None
     for t in tensors:
         if not isinstance(t, Tensor):
             raise ContractError(f"{op}: operands must be Tensors, got {type(t).__name__}")
-        _require_float(t, op)
-        if t.data.dtype != tensors[0].data.dtype:
-            raise ContractError(f"{op}: mixed dtypes {tensors[0].data.dtype} vs {t.data.dtype}")
+        dtype = t.data.dtype
+        if dtype is first:
+            continue
+        if dtype not in _FLOAT_DTYPES:
+            raise ContractError(f"{op}: requires a float tensor, got {dtype}")
+        if first is None:
+            first = dtype
+        elif dtype != first:
+            raise ContractError(f"{op}: mixed dtypes {first} vs {dtype}")
 
 
 def _as_tensor(x, dtype, op: str) -> Tensor:
     """Coerce a python number (or 0-d array) into a constant Tensor."""
-    if isinstance(x, Tensor):
-        return x
+    if type(x) is float and dtype in _FLOAT_DTYPES:
+        # the same bits as the general route: a python float is a double
+        return Tensor(np.array(x, dtype))
     arr = np.asarray(x)
     if arr.ndim != 0:
         raise ContractError(f"{op}: expected a Tensor or scalar, got array of shape {arr.shape}")
@@ -485,22 +498,29 @@ def _as_tensor(x, dtype, op: str) -> Tensor:
 
 def _coerce_pair(a, b, op: str) -> tuple[Tensor, Tensor]:
     """Promote python scalars, enforce the equal-or-scalar shape rule."""
-    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
-        raise ContractError(f"{op}: at least one operand must be a Tensor")
-    if isinstance(a, Tensor):
+    if not isinstance(b, Tensor):
+        if not isinstance(a, Tensor):
+            raise ContractError(f"{op}: at least one operand must be a Tensor")
         b = _as_tensor(b, a.data.dtype, op)
-    else:
+    elif not isinstance(a, Tensor):
         a = _as_tensor(a, b.data.dtype, op)
-    _require_float(a, op)
-    _require_float(b, op)
-    if a.data.dtype != b.data.dtype:
-        raise ContractError(f"{op}: mixed dtypes {a.data.dtype} vs {b.data.dtype}")
-    if a.shape != b.shape and a.ndim != 0 and b.ndim != 0:
+    _check_operands(op, (a, b))
+    sa, sb = a.data.shape, b.data.shape
+    if sa != sb and sa and sb:
         raise ContractError(
-            f"{op}: shapes {a.shape} and {b.shape} are neither equal nor scalar;"
+            f"{op}: shapes {sa} and {sb} are neither equal nor scalar;"
             " use broadcast_to for explicit broadcasting"
         )
     return a, b
+
+
+def _mean(a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """``a.mean(axis=axes, keepdims=True)``, bit for bit, without numpy's
+    Python-level ``mean``: the same sum, divided in place by the same
+    ``intp`` count."""
+    s = np.add.reduce(a, axes, None, None, True)
+    s /= np.intp(math.prod([a.shape[i] for i in axes]))
+    return s
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -518,6 +538,8 @@ def _norm_axes(axis, ndim: int, op: str) -> tuple[int, ...]:
     if axis is None:
         return tuple(range(ndim))
     if isinstance(axis, int):
+        if -ndim <= axis < ndim:
+            return (axis % ndim,)
         axis = (axis,)
     axes = tuple(a % ndim if -ndim <= a < ndim else a for a in axis)
     for a in axes:
@@ -535,7 +557,7 @@ def _norm_axes(axis, ndim: int, op: str) -> tuple[int, ...]:
 def add(a, b) -> Tensor:
     a, b = _coerce_pair(a, b, "add")
     out = Tensor(a.data + b.data)
-    sa, sb = a.shape, b.shape
+    sa, sb = a.data.shape, b.data.shape
     a_grad, b_grad = a.requires_grad, b.requires_grad
 
     def vjp(g):
@@ -549,7 +571,7 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _coerce_pair(a, b, "sub")
     out = Tensor(a.data - b.data)
-    sa, sb = a.shape, b.shape
+    sa, sb = a.data.shape, b.data.shape
     a_grad, b_grad = a.requires_grad, b.requires_grad
 
     def vjp(g):
@@ -563,7 +585,7 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _coerce_pair(a, b, "mul")
     out = Tensor(a.data * b.data)
-    sa, sb = a.shape, b.shape
+    sa, sb = a.data.shape, b.data.shape
     ad = a.data if b.requires_grad else None
     bd = b.data if a.requires_grad else None
 
@@ -578,7 +600,7 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a, b = _coerce_pair(a, b, "div")
     out = Tensor(a.data / b.data)
-    sa, sb, a_grad = a.shape, b.shape, a.requires_grad
+    sa, sb, a_grad = a.data.shape, b.data.shape, a.requires_grad
     ad = a.data if b.requires_grad else None
     bd = b.data
 
@@ -683,16 +705,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     sums the cotangent back down to each operand's shape.
     """
     _check_operands("matmul", (a, b))
-    if a.ndim < 2 or b.ndim < 2:
-        raise ContractError(f"matmul: operands need ndim >= 2, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ContractError(f"matmul: inner dimensions differ: {a.shape} @ {b.shape}")
-    try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError as e:
-        raise ContractError(f"matmul: batch dims incompatible: {a.shape} @ {b.shape}") from e
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) < 2 or len(sb) < 2:
+        raise ContractError(f"matmul: operands need ndim >= 2, got {sa} @ {sb}")
+    if sa[-1] != sb[-2]:
+        raise ContractError(f"matmul: inner dimensions differ: {sa} @ {sb}")
+    # a 2-d operand has no batch dims, so only two batched operands can clash
+    if len(sa) > 2 and len(sb) > 2:
+        for m, n in zip(sa[-3::-1], sb[-3::-1]):
+            if m != n and m != 1 and n != 1:
+                raise ContractError(f"matmul: batch dims incompatible: {sa} @ {sb}")
     out = Tensor(np.matmul(a.data, b.data))
-    sa, sb = a.shape, b.shape
     ad = a.data if b.requires_grad else None
     bd = b.data if a.requires_grad else None
 
@@ -717,9 +740,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     _require_float(x, "reduce_sum")
-    axes = _norm_axes(axis, x.ndim, "reduce_sum")
+    shape = x.data.shape
+    axes = _norm_axes(axis, len(shape), "reduce_sum")
     out = Tensor(x.data.sum(axis=axes, keepdims=keepdims))
-    shape = x.shape
 
     def vjp(g):
         if not keepdims:
@@ -731,10 +754,11 @@ def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     _require_float(x, "reduce_mean")
-    axes = _norm_axes(axis, x.ndim, "reduce_mean")
-    count = int(np.prod([x.shape[a] for a in axes])) if axes else 1
-    out = Tensor(x.data.mean(axis=axes, keepdims=keepdims))
-    shape = x.shape
+    shape = x.data.shape
+    axes = _norm_axes(axis, len(shape), "reduce_mean")
+    count = math.prod([shape[a] for a in axes])
+    y = _mean(x.data, axes)
+    out = Tensor(y if keepdims else y.reshape([n for a, n in enumerate(shape) if a not in axes]))
 
     def vjp(g):
         if not keepdims:
@@ -747,11 +771,16 @@ def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def reduce_max(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     """Max along one axis; gradient routes to the first maximal element."""
     _require_float(x, "reduce_max")
-    (ax,) = _norm_axes(axis, x.ndim, "reduce_max")
-    idx = np.expand_dims(np.argmax(x.data, axis=ax), ax)
-    m = np.take_along_axis(x.data, idx, axis=ax)
-    out = Tensor(m if keepdims else np.squeeze(m, axis=ax))
-    shape, dtype = x.data.shape, x.data.dtype
+    xd = x.data
+    (ax,) = _norm_axes(axis, xd.ndim, "reduce_max")
+    idx = xd.argmax(ax, keepdims=True)
+    m = xd.max(ax, keepdims=True)
+    if not m.all():
+        # a zero maximum: np.max may return a zero of the other sign than
+        # the first maximal element, which is the one the output must be
+        m = np.take_along_axis(xd, idx, axis=ax)
+    out = Tensor(m if keepdims else m.squeeze(ax))
+    shape, dtype = xd.shape, xd.dtype
 
     def vjp(g):
         if not keepdims:
@@ -766,7 +795,7 @@ def reduce_max(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
 def cumsum(x: Tensor, axis: int) -> Tensor:
     _require_float(x, "cumsum")
     (ax,) = _norm_axes(axis, x.ndim, "cumsum")
-    out = Tensor(np.cumsum(x.data, axis=ax))
+    out = Tensor(x.data.cumsum(ax))
 
     def vjp(g):
         rev = np.flip(g, axis=ax)
@@ -779,23 +808,66 @@ def cumsum(x: Tensor, axis: int) -> Tensor:
 # shape ops
 
 
+def _inverse_permutation(axes: tuple, shape: tuple[int, ...], op: str) -> tuple[int, ...]:
+    """The permutation that undoes ``axes``, which must permute the axes of
+    ``shape``."""
+    if sorted(axes) != list(range(len(shape))):
+        raise ContractError(f"{op}: {axes} is not a permutation of axes for shape {shape}")
+    inv = [0] * len(axes)
+    for i, a in enumerate(axes):
+        inv[a] = i
+    return tuple(inv)
+
+
+def _readonly_view(a: np.ndarray, shape, strides) -> np.ndarray:
+    """A read-only view of the C-contiguous ``a``, from its first element,
+    with the given shape and strides: ``as_strided(a, shape, strides,
+    writeable=False)`` without numpy's Python layer, and checked to stay
+    inside ``a``."""
+    y = np.ndarray(shape, a.dtype, a, 0, strides)
+    y.flags.writeable = False
+    return y
+
+
+def _broadcast_view(a: np.ndarray, shape: tuple) -> np.ndarray | None:
+    """``np.broadcast_to(a, shape)`` for a C-contiguous, non-empty ``a``: the
+    same read-only view with the same strides (0 on every new or size-1
+    axis), built without numpy's Python layer.  None where ``shape`` does
+    not take ``a`` by numpy's rules or is not plainly positive."""
+    extra = len(shape) - a.ndim
+    if extra < 0 or not a.size:
+        return None
+    for m in shape[:extra]:
+        if m < 1:
+            return None
+    strides = [0] * extra
+    for n, m, st in zip(a.shape, shape[extra:], a.strides):
+        if n == m:
+            strides.append(0 if n == 1 else st)
+        elif n == 1 and m > 0:
+            strides.append(0)
+        else:
+            return None
+    return _readonly_view(a, shape, strides)
+
+
 def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(shape)
+    xd = x.data
     try:
-        y = x.data.reshape(shape)
+        y = xd.reshape(shape)
     except ValueError as e:
-        raise ContractError(f"reshape: cannot view shape {x.shape} as {shape}") from e
-    out, in_shape = Tensor(y), x.shape
+        raise ContractError(f"reshape: cannot view shape {xd.shape} as {shape}") from e
+    out, in_shape = Tensor(y), xd.shape
     return record(out, (x,), lambda g: (g.reshape(in_shape),))
 
 
 def permute(x: Tensor, axes) -> Tensor:
     axes = tuple(axes)
-    if sorted(axes) != list(range(x.ndim)):
-        raise ContractError(f"permute: {axes} is not a permutation of axes for shape {x.shape}")
-    inv = tuple(np.argsort(axes))
+    xd = x.data
+    inv = _inverse_permutation(axes, xd.shape, "permute")
     # a copy, not a strided view: see the layout rule in the module docstring
-    out = Tensor(np.ascontiguousarray(x.data.transpose(axes)))
+    out = Tensor(np.ascontiguousarray(xd.transpose(axes)))
     return record(out, (x,), lambda g: (g.transpose(inv),))
 
 
@@ -807,10 +879,7 @@ def reshape_permute(x: Tensor, new_shape, axis_order) -> Tensor:
     """
     axis_order = tuple(axis_order)
     new_shape = tuple(new_shape)
-    if sorted(axis_order) != list(range(x.ndim)):
-        raise ContractError(
-            f"reshape_permute: {axis_order} is not a permutation of axes for shape {x.shape}"
-        )
+    inv = _inverse_permutation(axis_order, x.data.shape, "reshape_permute")
     permuted = x.data.transpose(axis_order)
     try:
         y = permuted.reshape(new_shape)
@@ -818,7 +887,6 @@ def reshape_permute(x: Tensor, new_shape, axis_order) -> Tensor:
         raise ContractError(
             f"reshape_permute: cannot view permuted shape {permuted.shape} as {new_shape}"
         ) from e
-    inv = tuple(np.argsort(axis_order))
     mid_shape = permuted.shape
     out = Tensor(np.ascontiguousarray(y))
     return record(out, (x,), lambda g: (g.reshape(mid_shape).transpose(inv),))
@@ -828,11 +896,14 @@ def broadcast_to(x: Tensor, shape) -> Tensor:
     """Explicit numpy-rules broadcast; backward sums over the expanded axes."""
     _require_float(x, "broadcast_to")
     shape = tuple(shape)
-    try:
-        y = np.broadcast_to(x.data, shape)
-    except ValueError as e:
-        raise ContractError(f"broadcast_to: cannot broadcast {x.shape} to {shape}") from e
-    out, in_shape = Tensor(y), x.shape
+    xd = x.data
+    y = _broadcast_view(xd, shape) if xd.flags.c_contiguous else None
+    if y is None:
+        try:
+            y = np.broadcast_to(xd, shape)
+        except ValueError as e:
+            raise ContractError(f"broadcast_to: cannot broadcast {xd.shape} to {shape}") from e
+    out, in_shape = Tensor(y), xd.shape
     return record(out, (x,), lambda g: (_reduce_to(g, in_shape),))
 
 
@@ -851,16 +922,16 @@ def concat(tensors, axis: int) -> Tensor:
     if not tensors:
         raise ContractError("concat: need at least one tensor")
     _check_operands("concat", tensors)
-    (ax,) = _norm_axes(axis, tensors[0].ndim, "concat")
-    ref = tensors[0].shape
+    (ax,) = _norm_axes(axis, tensors[0].data.ndim, "concat")
+    ref = tensors[0].data.shape
     for t in tensors[1:]:
-        if t.ndim != len(ref) or any(
-            i != ax and t.shape[i] != ref[i] for i in range(len(ref))
+        shape = t.data.shape
+        if len(shape) != len(ref) or any(
+            i != ax and shape[i] != ref[i] for i in range(len(ref))
         ):
             raise ContractError(f"concat: shapes {[t.shape for t in tensors]} differ off axis {ax}")
-    sizes = [t.shape[ax] for t in tensors]
     out = Tensor(np.concatenate([t.data for t in tensors], axis=ax))
-    bounds = np.cumsum(sizes)[:-1]
+    bounds = list(itertools.accumulate([t.data.shape[ax] for t in tensors[:-1]]))
 
     def vjp(g):
         return tuple(np.split(g, bounds, axis=ax))

@@ -36,6 +36,7 @@ result equals flip, forward block, flip bitwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,12 +229,12 @@ _MASK_CACHE: dict[tuple[int, str], np.ndarray] = {}
 
 
 def _causal_mask(length: int, dtype) -> np.ndarray:
-    """(L, L) additive mask: 0 on and below the diagonal, -inf above."""
+    """(1, 1, L, L) additive mask: 0 on and below the diagonal, -inf above."""
     key = (length, np.dtype(dtype).str)
     mask = _MASK_CACHE.get(key)
     if mask is None:
-        mask = np.zeros((length, length), dtype=dtype)
-        mask[np.triu_indices(length, k=1)] = -np.inf
+        mask = np.zeros((1, 1, length, length), dtype=dtype)
+        mask[0, 0][np.triu_indices(length, k=1)] = -np.inf
         mask.setflags(write=False)
         _MASK_CACHE[key] = mask
     return mask
@@ -245,6 +246,13 @@ def _linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         col = T.reshape(b, (1,) * (y.ndim - 1) + (b.shape[0],))
         y = T.add(y, T.broadcast_to(col, y.shape))
     return y
+
+
+def _check_param_dtype(op: str, x: Tensor, param: Tensor) -> None:
+    """An entry point's input must have its parameters' dtype: the mismatch
+    is the caller's, so it is named at the entry, not at an op inside."""
+    if x.data.dtype != param.data.dtype:
+        raise ContractError(f"{op}: input dtype {x.data.dtype} != params dtype {param.data.dtype}")
 
 
 def mlstm_sequence(seq: Tensor, params: MlstmParams) -> Tensor:
@@ -261,6 +269,7 @@ def mlstm_sequence(seq: Tensor, params: MlstmParams) -> Tensor:
         raise ContractError(
             f"mlstm_sequence: embed dim {seq.shape[2]} != params dim {params.embed_dim}"
         )
+    _check_param_dtype("mlstm_sequence", seq, params.query_proj)
     with T._flush_subnormals():
         return _mlstm_parallel(seq, params)
 
@@ -275,7 +284,7 @@ def _mlstm_parallel(seq: Tensor, params: MlstmParams) -> Tensor:
         return T.permute(T.reshape(x, (b, length, heads, head_dim)), (0, 2, 1, 3))
 
     q = heads_first(T.matmul(seq, params.query_proj))
-    k = heads_first(T.mul(T.matmul(seq, params.key_proj), 1.0 / np.sqrt(head_dim)))
+    k = heads_first(T.mul(T.matmul(seq, params.key_proj), 1.0 / math.sqrt(head_dim)))
     v = heads_first(T.matmul(seq, params.value_proj))
 
     def gate(w: Tensor, bias: Tensor) -> Tensor:  # (B, L, E) @ (E, H) -> (B, H, L)
@@ -288,8 +297,8 @@ def _mlstm_parallel(seq: Tensor, params: MlstmParams) -> Tensor:
     row = T.broadcast_to(T.reshape(cum_f, (b, heads, length, 1)), full)
     col = T.broadcast_to(T.reshape(T.sub(i_pre, cum_f), (b, heads, 1, length)), full)
     logits = T.add(row, col)  # logits[t, j] = F_t - F_j + i_j
-    mask = Tensor(np.asarray(_causal_mask(length, seq.data.dtype)))
-    logits = T.add(logits, T.broadcast_to(T.reshape(mask, (1, 1, length, length)), full))
+    mask = Tensor(_causal_mask(length, seq.data.dtype))  # a constant: no tape node
+    logits = T.add(logits, T.broadcast_to(mask, full))
 
     # row max == the scan's running log-scale m_t (diagonal keeps it finite)
     log_scale = T.reduce_max(logits, axis=3, keepdims=True)
@@ -327,6 +336,7 @@ def vil_block(seq: Tensor, params: VilBlockParams) -> Tensor:
         raise ContractError(
             f"vil_block: model dim {seq.shape[2]} != params dim {params.ln_gamma.shape[0]}"
         )
+    _check_param_dtype("vil_block", seq, params.ln_gamma)
     reverse = params.direction == "reverse"
     work = T.flip(seq, (1,)) if reverse else seq
 
@@ -349,7 +359,7 @@ def volume_to_sequence(x: Tensor) -> Tensor:
     if not isinstance(x, Tensor) or x.ndim < 3:
         raise ContractError(f"volume_to_sequence: expected (B, C, *spatial), got shape {getattr(x, 'shape', None)}")
     b, c = x.shape[:2]
-    length = int(np.prod(x.shape[2:]))
+    length = math.prod(x.shape[2:])
     order = (0,) + tuple(range(2, x.ndim)) + (1,)
     return T.reshape_permute(x, (b, length, c), order)
 
@@ -360,7 +370,7 @@ def sequence_to_volume(seq: Tensor, spatial: tuple[int, ...]) -> Tensor:
         raise ContractError("sequence_to_volume: expected a (B, L, C) Tensor")
     b, length, c = seq.shape
     spatial = tuple(spatial)
-    if int(np.prod(spatial)) != length:
+    if math.prod(spatial) != length:
         raise ContractError(f"sequence_to_volume: length {length} != prod of spatial {spatial}")
     grid = T.reshape(seq, (b,) + spatial + (c,))
     rank = len(spatial)
@@ -370,7 +380,9 @@ def sequence_to_volume(seq: Tensor, spatial: tuple[int, ...]) -> Tensor:
 def xlstm_block(x: Tensor, params: XlstmBlockParams) -> Tensor:
     """Flatten a (B, C, *spatial) volume, norm it, run a forward and a
     reverse vil block, and fold it back to the volume layout."""
-    u = layer_norm(volume_to_sequence(x), params.pre_gamma, params.pre_beta)
+    seq = volume_to_sequence(x)
+    _check_param_dtype("xlstm_block", seq, params.pre_gamma)
+    u = layer_norm(seq, params.pre_gamma, params.pre_beta)
     u = vil_block(u, params.forward_block)
     u = vil_block(u, params.reverse_block)
     return sequence_to_volume(u, x.shape[2:])

@@ -78,6 +78,24 @@ def test_reduce_max_ties_on_a_middle_axis():
     np.testing.assert_array_equal(x.grad, expected)
 
 
+@pytest.mark.parametrize("keepdims", [False, True])
+def test_reduce_max_tie_routes_to_the_first_maximum(keepdims):
+    # ties along the last axis, a signed-zero tie included: the value and
+    # the cotangent both come from the first maximal element
+    x = _leaf([[2.0, 5.0, 5.0, 1.0], [-0.0, 0.0, -1.0, 0.0], [3.0, 3.0, 3.0, 3.0]])
+    wt = Tensor(np.array([2.0, 3.0, 5.0]).reshape((3, 1) if keepdims else (3,)))
+    with Graph() as g:
+        m = T.reduce_max(x, axis=1, keepdims=keepdims)
+        loss = T.reduce_sum(T.mul(m, wt))
+    backward(loss, g)
+    assert m.shape == ((3, 1) if keepdims else (3,))
+    np.testing.assert_array_equal(m.data.reshape(-1), [5.0, 0.0, 3.0])
+    assert np.signbit(m.data.reshape(-1)[1])  # the -0.0 that comes first
+    expected = np.zeros((3, 4))
+    expected[0, 1], expected[1, 0], expected[2, 0] = 2.0, 3.0, 5.0
+    np.testing.assert_array_equal(x.grad, expected)
+
+
 def test_scalar_mixed_in_grad():
     x = _leaf([2.0])
     with Graph() as g:

@@ -363,7 +363,7 @@ def test_conv_transpose_routes(rng, monkeypatch, rank, k, stride, padding, overl
     y = conv(_t(x0), _t(w0)).data
     # kernel == stride: each output phase has one tap, whose patch matrix is
     # x itself; overlapping windows give some phase more than one tap
-    assert slabs and any(np.prod(phase_k) > 1 for _, phase_k, _, _ in slabs) == overlapping
+    assert slabs and any(np.prod(phase_k) > 1 for _, phase_k, *_ in slabs) == overlapping
     want = conv_transpose_nd_loops(x0, w0, stride=stride, padding=padding)
     np.testing.assert_allclose(y, want, rtol=1e-10, atol=1e-10)
     x, w = _t(x0, grad=True), _t(w0, grad=True)
@@ -448,7 +448,7 @@ def test_weight_cotangents_match_the_loop_oracle(geometry, batch, short_slabs):
 def test_one_tap_stride1_patches_are_the_input(rng):
     x0 = rng.normal(size=(2, 3, 5, 4))
     w0 = rng.normal(size=(4, 3, 1, 1))
-    [(sl, cols)] = list(N._slabs(x0, (1, 1), (1, 1), (5, 4)))
+    [(sl, cols)] = list(N._slabs(x0, (1, 1), (1, 1), (5, 4), (5, 4)))
     assert sl == slice(None) and cols.shape == (2, 3, 20) and np.shares_memory(cols, x0)
     wt0 = rng.normal(size=(2, 4, 5, 4))
 

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import xlunet.nnops as N
 import xlunet.tensor as T
 from xlunet.tensor import ContractError, Graph, Tensor, backward
 
@@ -219,6 +220,21 @@ def test_matmul_rejects_vectors():
         T.matmul(Tensor(np.ones(3, dtype=np.float32)), Tensor(np.ones((3, 2), dtype=np.float32)))
 
 
+@pytest.mark.parametrize("a_shape,b_shape", [((2, 4, 5), (3, 5, 6)), ((2, 3, 4, 5), (4, 5, 6))])
+def test_matmul_rejects_clashing_batch_dims(a_shape, b_shape):
+    a, b = Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape))
+    with pytest.raises(ContractError, match=r"^matmul: batch dims incompatible"):
+        T.matmul(a, b)
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (7,), (2, 3), (1, 4, 1), (3, 1, 2, 2)])
+def test_matmul_takes_a_2d_weight_under_any_leading_dims(rng, lead):
+    a0 = rng.normal(size=lead + (4, 5))
+    w0 = rng.normal(size=(5, 6))
+    got = T.matmul(Tensor(a0), Tensor(w0)).data
+    np.testing.assert_array_equal(got, np.matmul(a0, w0))
+
+
 # ---------------------------------------------------------------------------
 # reductions / shape ops
 
@@ -238,10 +254,57 @@ def test_reductions(rng):
     )
 
 
-def test_reduction_dtype_preserved():
-    x = Tensor(np.ones((3,), dtype=np.float64))
-    assert T.reduce_sum(x).dtype == np.float64
-    assert T.reduce_mean(x).dtype == np.float64
+# every differentiable op of tensor and nnops on operands of one float dtype;
+# binary ops also take a python scalar on either side
+_OPS = {
+    "add": lambda t: T.add(t((2, 3)), t((2, 3))),
+    "sub": lambda t: T.sub(2.0, t((2, 3))),
+    "mul": lambda t: T.mul(t((2, 3)), 0.5),
+    "div": lambda t: T.div(t((2, 3)), T.exp(t((2, 3)))),
+    "exp": lambda t: T.exp(t((2, 3))),
+    "log": lambda t: T.log(T.exp(t((2, 3)))),
+    "sigmoid": lambda t: T.sigmoid(t((2, 3))),
+    "silu": lambda t: T.silu(t((2, 3))),
+    "leaky_relu": lambda t: T.leaky_relu(t((2, 3)), 0.1),
+    "absolute": lambda t: T.absolute(t((2, 3))),
+    "max_with_scalar": lambda t: T.max_with_scalar(t((2, 3)), 0.25),
+    "matmul": lambda t: T.matmul(t((2, 3, 4)), t((4, 5))),
+    "reduce_sum": lambda t: T.reduce_sum(t((2, 3))),
+    "reduce_mean": lambda t: T.reduce_mean(t((2, 3)), axis=1),
+    "reduce_max": lambda t: T.reduce_max(t((2, 3)), axis=1, keepdims=True),
+    "cumsum": lambda t: T.cumsum(t((2, 3)), axis=1),
+    "reshape": lambda t: T.reshape(t((2, 3)), (3, 2)),
+    "permute": lambda t: T.permute(t((2, 3, 4)), (2, 0, 1)),
+    "reshape_permute": lambda t: T.reshape_permute(t((2, 3, 4)), (4, 6), (2, 0, 1)),
+    "broadcast_to": lambda t: T.broadcast_to(t((3, 1)), (2, 3, 4)),
+    "flip": lambda t: T.flip(t((2, 3)), (1,)),
+    "concat": lambda t: T.concat([t((2, 3)), t((2, 2))], axis=1),
+    "narrow": lambda t: T.narrow(t((2, 5)), 1, 1, 3),
+    "split": lambda t: T.split(t((2, 6)), [2, 4], axis=1),
+    "conv_nd": lambda t: N.conv_nd(t((1, 2, 5, 4)), t((3, 2, 3, 3)), t((3,)), padding=1),
+    "conv_transpose_nd": lambda t: N.conv_transpose_nd(t((1, 2, 3, 2)), t((2, 3, 2, 2)), t((3,)), stride=2),
+    "causal_conv1d": lambda t: N.causal_conv1d(t((2, 5, 3)), t((3, 4)), t((3,))),
+    "instance_norm": lambda t: N.instance_norm(t((2, 3, 4, 4)), t((3,)), t((3,))),
+    "layer_norm": lambda t: N.layer_norm(t((2, 5, 6)), t((6,)), t((6,))),
+    "softmax": lambda t: N.softmax(t((2, 4, 3)), axis=1),
+}
+
+
+def test_dtype_table_covers_every_op():
+    not_ops = {"ContractError", "GraphError", "NumericsError", "Tensor", "Graph", "backward"}
+    assert set(_OPS) == (set(T.__all__) - not_ops) | set(N.__all__)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", sorted(_OPS))
+def test_ops_keep_their_operands_dtype(rng, op, dtype):
+    def t(shape):
+        return Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+
+    with Graph():  # the taped route, whose outputs carry the dtype into backward
+        out = _OPS[op](t)
+    for o in out if isinstance(out, list) else [out]:
+        assert o.dtype == dtype and o.data.dtype == dtype
 
 
 def test_cumsum(rng):

@@ -80,6 +80,23 @@ def test_step_rejects_bad_shapes(rng):
         mlstm_sequence(Tensor(rng.normal(size=(2, 8))), p)
 
 
+@pytest.mark.parametrize("entry", ["mlstm_sequence", "vil_block", "xlstm_block"])
+def test_dtype_mismatch_is_named_at_the_entry_point(rng, entry):
+    # float64 parameters and a float32 input: the error names the block the
+    # caller called, not an op inside it
+    if entry == "mlstm_sequence":
+        fn, params, shape = mlstm_sequence, _params(rng), (2, 5, 8)
+    elif entry == "vil_block":
+        fn, shape = vil_block, (2, 5, 6)
+        params = init_vil_params(rng, model_dim=6, direction="reverse", heads=3, dtype=np.float64)
+    else:
+        fn, shape = xlstm_block, (2, 4, 2, 3)
+        params = init_xlstm_params(rng, channels=4, heads=2, dtype=np.float64)
+    x = Tensor(rng.normal(size=shape).astype(np.float32))
+    with pytest.raises(ContractError, match=rf"^{entry}: input dtype float32 != params dtype float64"):
+        fn(x, params)
+
+
 # ---------------------------------------------------------------------------
 # sequence form vs independent per-step scan
 
