@@ -142,7 +142,7 @@ def _with_slack(xp: np.ndarray, slack: int) -> np.ndarray:
         # n contiguous elements inside base start at base[0] exactly when
         # they stop short of base[n:] (a bounds test, no pointer read)
         and not np.may_share_memory(xp, base[n:])
-        and not base[n : n + slack].any()
+        and not np.count_nonzero(base[n : n + slack])
     ):
         return base[: n + slack]
     flat = np.zeros(n + slack, xp.dtype)

@@ -50,6 +50,16 @@ the contract here is deliberately strict:
   stops flushing after it; where it fails, or off x86-64 glibc Linux, the
   context does nothing.
 
+Per-op cost: on the short sequences of the deep stages and the tiny shapes
+of the gradient checks, an op's arithmetic takes a microsecond or two and
+its fixed cost is the rest: the operand checks, numpy's dispatch, wrapping
+the result in a ``Tensor`` and the ``record`` call.  Every contract check
+stays, run once per op.  Bookkeeping must not re-validate what the op
+already checked: a ``Tensor`` takes an op's ndarray as it is, and ``record``
+returns at once when no graph is active.  Numpy's Python-level helpers
+(``broadcast_to``, ``argsort``, ``pad``, ``mean``) are replaced by C-level
+calls that give the same bits.
+
 Finiteness policy: ops do not sweep their outputs with ``isfinite`` (the
 attention-style sequence kernel legitimately feeds ``-inf`` log-weights into
 ``exp`` to encode causal masking, and exact zeros come out; inside the
@@ -774,11 +784,11 @@ def reduce_max(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     xd = x.data
     (ax,) = _norm_axes(axis, xd.ndim, "reduce_max")
     idx = xd.argmax(ax, keepdims=True)
-    m = xd.max(ax, keepdims=True)
-    if not m.all():
-        # a zero maximum: np.max may return a zero of the other sign than
-        # the first maximal element, which is the one the output must be
-        m = np.take_along_axis(xd, idx, axis=ax)
+    # the value gathered at idx, not np.max's: np.max is a second full pass
+    # (0.8 ms against this gather's 0.06 ms for the (4, 4, 256, 256) float32
+    # logits of an enc training step, one x86-64 core), and its zero maximum
+    # may have the other sign than the first maximal element
+    m = np.take_along_axis(xd, idx, axis=ax)
     out = Tensor(m if keepdims else m.squeeze(ax))
     shape, dtype = xd.shape, xd.dtype
 
@@ -912,9 +922,11 @@ def flip(x: Tensor, axes) -> Tensor:
     # module docstring), and for a second reason: downstream BLAS calls
     # must see the same memory layout whether the caller flipped the data
     # itself or went through this op, so that both routes are bit-identical
-    axes = _norm_axes(axes, x.ndim, "flip")
-    out = Tensor(np.ascontiguousarray(np.flip(x.data, axis=axes)))
-    return record(out, (x,), lambda g: (np.ascontiguousarray(np.flip(g, axis=axes)),))
+    ndim = x.data.ndim
+    axes = _norm_axes(axes, ndim, "flip")
+    rev = tuple(slice(None, None, -1) if i in axes else slice(None) for i in range(ndim))
+    out = Tensor(np.ascontiguousarray(x.data[rev]))
+    return record(out, (x,), lambda g: (np.ascontiguousarray(g[rev]),))
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -942,14 +954,14 @@ def concat(tensors, axis: int) -> Tensor:
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice ``x[..., start:start+length, ...]`` along ``axis``."""
     _require_float(x, "narrow")
-    (ax,) = _norm_axes(axis, x.ndim, "narrow")
-    if not (0 <= start and length >= 1 and start + length <= x.shape[ax]):
+    shape, dtype = x.data.shape, x.data.dtype
+    (ax,) = _norm_axes(axis, len(shape), "narrow")
+    if not (0 <= start and length >= 1 and start + length <= shape[ax]):
         raise ContractError(
-            f"narrow: [{start}, {start + length}) out of bounds for axis {ax} of shape {x.shape}"
+            f"narrow: [{start}, {start + length}) out of bounds for axis {ax} of shape {shape}"
         )
-    sl = tuple(slice(None) if i != ax else slice(start, start + length) for i in range(x.ndim))
+    sl = (slice(None),) * ax + (slice(start, start + length),)
     out = Tensor(x.data[sl].copy())
-    shape, dtype = x.shape, x.data.dtype
 
     def vjp(g):
         gx = np.zeros(shape, dtype)
