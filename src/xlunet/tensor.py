@@ -487,8 +487,7 @@ def _check_operands(op: str, tensors) -> None:
         dtype = t.data.dtype
         if dtype is first:
             continue
-        if dtype not in _FLOAT_DTYPES:
-            raise ContractError(f"{op}: requires a float tensor, got {dtype}")
+        _require_float(t, op)
         if first is None:
             first = dtype
         elif dtype != first:
