@@ -357,7 +357,7 @@ class Graph:
         return token
 
     def _add_node(self, out: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
-        tokens = tuple([self._input_token(t) for t in inputs])
+        tokens = tuple(self._input_token(t) for t in inputs)
         token = out._token = object()
         self._produced.add(token)
         self._nodes.append((token, tokens, vjp))
@@ -496,9 +496,6 @@ def _check_operands(op: str, tensors) -> None:
 
 def _as_tensor(x, dtype, op: str) -> Tensor:
     """Coerce a python number (or 0-d array) into a constant Tensor."""
-    if type(x) is float and dtype in _FLOAT_DTYPES:
-        # the same bits as the general route: a python float is a double
-        return Tensor(np.array(x, dtype))
     arr = np.asarray(x)
     if arr.ndim != 0:
         raise ContractError(f"{op}: expected a Tensor or scalar, got array of shape {arr.shape}")
