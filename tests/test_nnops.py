@@ -445,6 +445,20 @@ def test_weight_cotangents_match_the_loop_oracle(geometry, batch, short_slabs):
     np.testing.assert_allclose(wt.grad, want, rtol=1e-10, atol=1e-10)
 
 
+@pytest.mark.parametrize("offset", [0, 1])
+def test_slack_reuses_only_a_buffer_that_starts_the_input(offset):
+    # the buffer _window allocates is reused when x starts at its first
+    # element and is followed by zeros; an offset view is copied, even where
+    # the elements past its base's first n are zeros too
+    want = np.arange(12.0).reshape(3, 4) % 11  # its last element is 0
+    buf = np.zeros(offset + 12 + 3)
+    x = buf[offset : offset + 12].reshape(3, 4)
+    x[...] = want
+    flat = N._with_slack(x, 2)
+    np.testing.assert_array_equal(flat, np.r_[want.reshape(-1), 0.0, 0.0])
+    assert np.shares_memory(flat, buf) == (offset == 0)
+
+
 def test_one_tap_stride1_patches_are_the_input(rng):
     x0 = rng.normal(size=(2, 3, 5, 4))
     w0 = rng.normal(size=(4, 3, 1, 1))

@@ -95,6 +95,23 @@ def test_explicit_broadcast_to():
         T.broadcast_to(a, (2, 4))
 
 
+@pytest.mark.parametrize(
+    "in_shape,out_shape",
+    [((3,), (2, 3)), ((1, 1, 4), (2, 3, 4)), ((3, 1), (3, 1)), ((1,), (1, 2, 1, 5)), ((), (2, 2)), ((2, 1, 3), (4, 2, 5, 3))],
+)
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_broadcast_to_is_numpys_view(rng, in_shape, out_shape, contiguous):
+    # the same values, strides and read-only flag as np.broadcast_to, so that
+    # every later op sees the layout it saw before
+    x0 = rng.normal(size=in_shape)
+    if not contiguous:
+        x0 = np.repeat(x0[..., None], 2, axis=-1)[..., 0]
+    got = T.broadcast_to(Tensor(x0), out_shape).data
+    want = np.broadcast_to(x0, out_shape)
+    assert got.strides == want.strides and not got.flags.writeable
+    np.testing.assert_array_equal(got, want)
+
+
 def test_unary_values(rng):
     x = rng.uniform(0.5, 2.0, size=(5,)).astype(np.float64)
     t = Tensor(x)
