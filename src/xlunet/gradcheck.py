@@ -393,14 +393,18 @@ def _build_mlstm_sequence(rng):
     return fn, inputs
 
 
-def _vil_builder(direction: str):
+def _vil_builder(reverse: bool):
+    """The block as ``xlstm_block`` runs its forward or its reverse half."""
+
     def build(rng):
-        params = init_vil_params(rng, model_dim=6, direction=direction, heads=3, dtype=np.float64)
+        params = init_vil_params(rng, model_dim=6, heads=3, dtype=np.float64)
         seq = _t(rng, (2, 5, 6))
         wt = _t(rng, (2, 5, 6))
         inputs = [seq, wt] + [t for _, t in params.tensors()]
 
         def fn():
+            if reverse:
+                return _weighted_sum(T.flip(vil_block(T.flip(seq, (1,)), params), (1,)), wt)
             return _weighted_sum(vil_block(seq, params), wt)
 
         return fn, inputs
@@ -479,8 +483,8 @@ def standard_checks() -> list[OpCheck]:
         OpCheck("layer_norm", "nnops", _build_layer_norm),
         OpCheck("softmax", "nnops", _build_softmax),
         OpCheck("mlstm_sequence", "vil", _build_mlstm_sequence, max_per_input=4),
-        OpCheck("vil_block_forward", "vil", _vil_builder("forward"), max_per_input=4),
-        OpCheck("vil_block_reverse", "vil", _vil_builder("reverse"), max_per_input=4),
+        OpCheck("vil_block_forward", "vil", _vil_builder(reverse=False), max_per_input=4),
+        OpCheck("vil_block_reverse", "vil", _vil_builder(reverse=True), max_per_input=4),
         OpCheck("xlstm_block", "vil", _build_xlstm_block, max_per_input=3),
         OpCheck("dice_ce_loss", "losses", _build_dice_ce, rel_tol=1e-4),
         OpCheck(

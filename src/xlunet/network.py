@@ -179,22 +179,11 @@ class _ResBlock:
         return T.add(y, shortcut)
 
 
-class _SequenceSite:
-    def __init__(self, reg, name, rng, channels, cfg: NetworkConfig):
-        self.block: XlstmBlockParams = init_xlstm_params(
-            rng, channels, heads=cfg.heads, expansion=cfg.expansion, conv_width=cfg.conv_width
-        )
-        reg.add_all(name, self.block.tensors())
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return xlstm_block(x, self.block)
-
-
 @dataclass
 class _EncoderStage:
     res0: _ResBlock
     res1: _ResBlock
-    seq: _SequenceSite | None
+    seq: XlstmBlockParams | None
 
 
 @dataclass
@@ -217,29 +206,31 @@ class Network:
         rank = len(config.patch_size)
         reg = _Registry()
         rng = T._rng_stream(config.seed, 0)
+        self.sequence_sites: list[str] = []
+
+        def sequence_site(name: str, channels: int) -> XlstmBlockParams:
+            block = init_xlstm_params(rng, channels, config.heads, config.expansion, config.conv_width)
+            reg.add_all(name, block.tensors())
+            self.sequence_sites.append(name)
+            return block
 
         self.stem = _Conv(
             reg, "stem.conv", rng, config.in_channels, config.stage_channels(0), (3,) * rank, 2, 1
         )
         self.stages: list[_EncoderStage] = []
-        self.sequence_sites: list[str] = []
         prev = config.stage_channels(0)
         for i in range(config.num_stages):
             ch = config.stage_channels(i)
             res0 = _ResBlock(reg, f"enc{i}.res0", rng, prev, ch, rank, stride=2)
             res1 = _ResBlock(reg, f"enc{i}.res1", rng, ch, ch, rank, stride=1)
-            seq = None
-            if config.variant == "enc":
-                seq = _SequenceSite(reg, f"enc{i}.xlstm", rng, ch, config)
-                self.sequence_sites.append(f"enc{i}.xlstm")
+            seq = sequence_site(f"enc{i}.xlstm", ch) if config.variant == "enc" else None
             self.stages.append(_EncoderStage(res0, res1, seq))
             prev = ch
 
         bot_ch = config.stage_channels(config.num_stages - 1)
         self.bottleneck_res0 = _ResBlock(reg, "bottleneck.res0", rng, prev, bot_ch, rank)
         self.bottleneck_res1 = _ResBlock(reg, "bottleneck.res1", rng, bot_ch, bot_ch, rank)
-        self.bottleneck_seq = _SequenceSite(reg, "bottleneck.xlstm", rng, bot_ch, config)
-        self.sequence_sites.append("bottleneck.xlstm")
+        self.bottleneck_seq = sequence_site("bottleneck.xlstm", bot_ch)
 
         # skip sources, shallow to deep: stem, stage 0 .. stage S-2
         skip_channels = [config.stage_channels(0)] + [
@@ -289,10 +280,10 @@ class Network:
         for i, stage in enumerate(self.stages):
             h = stage.res1(stage.res0(h))
             if stage.seq is not None:
-                h = stage.seq(h)
+                h = xlstm_block(h, stage.seq)
             if i < last:
                 skips.append(h)
-        h = self.bottleneck_seq(self.bottleneck_res1(self.bottleneck_res0(h)))
+        h = xlstm_block(self.bottleneck_res1(self.bottleneck_res0(h)), self.bottleneck_seq)
         for dec, skip in zip(self.decoder, reversed(skips)):
             h = dec.up(h)
             h = T.concat([h, skip], axis=1)

@@ -67,7 +67,7 @@ from .tensor import (
     Tensor,
     _check_operands,
     _mean,
-    _norm_axes,
+    _norm_axis,
     _readonly_view,
     record,
 )
@@ -486,7 +486,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 def softmax(x: Tensor, axis: int) -> Tensor:
     """Shift-stabilized softmax along ``axis``."""
     _check_operands("softmax", (x,))
-    (ax,) = _norm_axes(axis, x.ndim, "softmax")
+    ax = _norm_axis(axis, x.ndim, "softmax")
     shifted = x.data - x.data.max(axis=ax, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=ax, keepdims=True)

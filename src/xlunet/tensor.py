@@ -556,6 +556,15 @@ def _norm_axes(axis, ndim: int, op: str) -> tuple[int, ...]:
     return axes
 
 
+def _norm_axis(axis, ndim: int, op: str) -> int:
+    """The one axis of a single-axis op, in [0, ndim)."""
+    if not isinstance(axis, int):
+        raise ContractError(f"{op}: axis must be one int, got {axis!r}")
+    if not -ndim <= axis < ndim:
+        raise ContractError(f"{op}: axis {axis} out of range for ndim {ndim}")
+    return axis % ndim
+
+
 # ---------------------------------------------------------------------------
 # elementwise binary
 
@@ -778,7 +787,7 @@ def reduce_max(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     """Max along one axis; gradient routes to the first maximal element."""
     _require_float(x, "reduce_max")
     xd = x.data
-    (ax,) = _norm_axes(axis, xd.ndim, "reduce_max")
+    ax = _norm_axis(axis, xd.ndim, "reduce_max")
     idx = xd.argmax(ax, keepdims=True)
     # the value gathered at idx, not np.max's: np.max is a second full pass
     # (0.8 ms against this gather's 0.06 ms for the (4, 4, 256, 256) float32
@@ -800,7 +809,7 @@ def reduce_max(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
 
 def cumsum(x: Tensor, axis: int) -> Tensor:
     _require_float(x, "cumsum")
-    (ax,) = _norm_axes(axis, x.ndim, "cumsum")
+    ax = _norm_axis(axis, x.ndim, "cumsum")
     out = Tensor(x.data.cumsum(ax))
 
     def vjp(g):
@@ -930,7 +939,7 @@ def concat(tensors, axis: int) -> Tensor:
     if not tensors:
         raise ContractError("concat: need at least one tensor")
     _check_operands("concat", tensors)
-    (ax,) = _norm_axes(axis, tensors[0].data.ndim, "concat")
+    ax = _norm_axis(axis, tensors[0].data.ndim, "concat")
     ref = tensors[0].data.shape
     for t in tensors[1:]:
         shape = t.data.shape
@@ -951,7 +960,7 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice ``x[..., start:start+length, ...]`` along ``axis``."""
     _require_float(x, "narrow")
     shape, dtype = x.data.shape, x.data.dtype
-    (ax,) = _norm_axes(axis, len(shape), "narrow")
+    ax = _norm_axis(axis, len(shape), "narrow")
     if not (0 <= start and length >= 1 and start + length <= shape[ax]):
         raise ContractError(
             f"narrow: [{start}, {start + length}) out of bounds for axis {ax} of shape {shape}"
@@ -969,7 +978,7 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 def split(x: Tensor, sections, axis: int) -> list[Tensor]:
     """Split into equal ``sections`` (int) or given sizes (sequence)."""
-    (ax,) = _norm_axes(axis, x.ndim, "split")
+    ax = _norm_axis(axis, x.ndim, "split")
     n = x.shape[ax]
     if isinstance(sections, int):
         if sections <= 0 or n % sections != 0:

@@ -427,7 +427,6 @@ def run_training(
         log_mode = "w"
 
     log_path = out_dir / "train_log.csv"
-    stopped_early = False
     epoch_loss = float("nan")
     with open(log_path, log_mode) as log_file:
         if log_mode == "w":
@@ -496,17 +495,11 @@ def run_training(
                 if log is not None:
                     log(f"epoch {epoch + 1}: train foreground dice {score:.4f}")
                 if score >= cfg.early_stop_dice:
-                    stopped_early = True
                     return TrainResult(
                         epoch + 1, global_step, epoch_loss, best_loss, True, out_dir
                     )
     return TrainResult(
-        max(start_epoch, cfg.max_epochs),
-        global_step,
-        epoch_loss,
-        best_loss,
-        stopped_early,
-        out_dir,
+        max(start_epoch, cfg.max_epochs), global_step, epoch_loss, best_loss, False, out_dir
     )
 
 

@@ -28,16 +28,16 @@ quadratic form runs with subnormal floats flushed to zero
 float32 (B, H, L, L) decay and weight arrays fall below the smallest normal,
 and each op over them would take the processor's slow path.
 
-Direction handling: the cell is causal.  A reverse ``vil_block`` flips the
-sequence before its entry norm and flips the result back, so every op
-inside it, the causal conv included, runs over the reversed order; the
-result equals flip, forward block, flip bitwise.
+Direction handling: the cell and ``vil_block`` are causal.  ``xlstm_block``
+pairs a forward block with a reverse one, which it runs as flip, block,
+flip, so every op of the second block, the causal conv included, runs over
+the reversed order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,15 +59,29 @@ __all__ = [
     "init_xlstm_params",
 ]
 
-_DIRECTIONS = ("forward", "reverse")
-
-
 # ---------------------------------------------------------------------------
 # parameter containers
 
 
+class _Params:
+    """Base of the parameter dataclasses: their field order is their layout,
+    the checkpoint's and the gradient battery's input order."""
+
+    def tensors(self) -> list[tuple[str, Tensor]]:
+        """Every Tensor field in declaration order, a nested parameter set's
+        under "<field>."."""
+        out = []
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, Tensor):
+                out.append((field.name, value))
+            elif isinstance(value, _Params):
+                out += [(f"{field.name}.{n}", t) for n, t in value.tensors()]
+        return out
+
+
 @dataclass
-class MlstmParams:
+class MlstmParams(_Params):
     """Projections and gates for the matrix-memory recurrence.
 
     Linear weights are stored (in_features, out_features) and applied as
@@ -86,26 +100,13 @@ class MlstmParams:
     out_gate_b: Tensor  # (E,)
     heads: int
 
-    def tensors(self) -> list[tuple[str, Tensor]]:
-        return [
-            ("query_proj", self.query_proj),
-            ("key_proj", self.key_proj),
-            ("value_proj", self.value_proj),
-            ("input_gate_w", self.input_gate_w),
-            ("input_gate_b", self.input_gate_b),
-            ("forget_gate_w", self.forget_gate_w),
-            ("forget_gate_b", self.forget_gate_b),
-            ("out_gate_w", self.out_gate_w),
-            ("out_gate_b", self.out_gate_b),
-        ]
-
     @property
     def embed_dim(self) -> int:
         return self.query_proj.shape[0]
 
 
 @dataclass
-class VilBlockParams:
+class VilBlockParams(_Params):
     """One gated sequence block: pre-norm, up-projection split into a memory
     path (causal conv -> silu -> recurrence, with a learnable skip) and a
     silu gate, then down-projection with a residual."""
@@ -115,38 +116,19 @@ class VilBlockParams:
     up_proj: Tensor  # (D, 2E)
     conv_kernel: Tensor  # (E, width)
     conv_bias: Tensor  # (E,)
-    mlstm: MlstmParams
     skip_scale: Tensor  # (E,)
     down_proj: Tensor  # (E, D)
-    direction: str = "forward"
-
-    def tensors(self) -> list[tuple[str, Tensor]]:
-        own = [
-            ("ln_gamma", self.ln_gamma),
-            ("ln_beta", self.ln_beta),
-            ("up_proj", self.up_proj),
-            ("conv_kernel", self.conv_kernel),
-            ("conv_bias", self.conv_bias),
-            ("skip_scale", self.skip_scale),
-            ("down_proj", self.down_proj),
-        ]
-        return own + [(f"mlstm.{n}", t) for n, t in self.mlstm.tensors()]
+    mlstm: MlstmParams  # last: the layout lists the cell after the block's own tensors
 
 
 @dataclass
-class XlstmBlockParams:
-    """Standalone entry norm plus a forward/reverse pair of vil blocks."""
+class XlstmBlockParams(_Params):
+    """Standalone entry norm plus a forward and a reverse vil block."""
 
     pre_gamma: Tensor  # (C,)
     pre_beta: Tensor  # (C,)
-    forward_block: VilBlockParams
-    reverse_block: VilBlockParams
-
-    def tensors(self) -> list[tuple[str, Tensor]]:
-        out = [("pre_gamma", self.pre_gamma), ("pre_beta", self.pre_beta)]
-        out += [(f"fwd.{n}", t) for n, t in self.forward_block.tensors()]
-        out += [(f"rev.{n}", t) for n, t in self.reverse_block.tensors()]
-        return out
+    fwd: VilBlockParams
+    rev: VilBlockParams
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +165,13 @@ def init_mlstm_params(
 def init_vil_params(
     rng: np.random.Generator,
     model_dim: int,
-    direction: str,
     heads: int = 4,
     expansion: int = 2,
     conv_width: int = 4,
     dtype=np.float32,
 ) -> VilBlockParams:
-    if direction not in _DIRECTIONS:
-        raise ContractError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
     inner = expansion * model_dim
-    return VilBlockParams(
+    return VilBlockParams(  # keyword order is the rng's draw order
         ln_gamma=Tensor(np.ones(model_dim, dtype=dtype), requires_grad=True),
         ln_beta=Tensor(np.zeros(model_dim, dtype=dtype), requires_grad=True),
         up_proj=_uniform(rng, (model_dim, 2 * inner), model_dim, dtype),
@@ -201,7 +180,6 @@ def init_vil_params(
         mlstm=init_mlstm_params(rng, inner, heads, dtype),
         skip_scale=Tensor(np.ones(inner, dtype=dtype), requires_grad=True),
         down_proj=_uniform(rng, (inner, model_dim), inner, dtype),
-        direction=direction,
     )
 
 
@@ -216,8 +194,8 @@ def init_xlstm_params(
     return XlstmBlockParams(
         pre_gamma=Tensor(np.ones(channels, dtype=dtype), requires_grad=True),
         pre_beta=Tensor(np.zeros(channels, dtype=dtype), requires_grad=True),
-        forward_block=init_vil_params(rng, channels, "forward", heads, expansion, conv_width, dtype),
-        reverse_block=init_vil_params(rng, channels, "reverse", heads, expansion, conv_width, dtype),
+        fwd=init_vil_params(rng, channels, heads, expansion, conv_width, dtype),
+        rev=init_vil_params(rng, channels, heads, expansion, conv_width, dtype),
     )
 
 
@@ -321,15 +299,8 @@ def _mlstm_parallel(seq: Tensor, params: MlstmParams) -> Tensor:
 
 
 def vil_block(seq: Tensor, params: VilBlockParams) -> Tensor:
-    """Pre-norm gated block around the sequence recurrence; (B, L, D) -> same.
-
-    Reverse-direction blocks flip the sequence on entry and exit, so every
-    internal op (including the causal conv) sees the reversed order.
-    """
-    if params.direction not in _DIRECTIONS:
-        raise ContractError(
-            f"vil_block: direction must be one of {_DIRECTIONS}, got {params.direction!r}"
-        )
+    """Pre-norm gated block around the causal sequence recurrence;
+    (B, L, D) -> same."""
     if not isinstance(seq, Tensor) or seq.ndim != 3:
         raise ContractError("vil_block: expected a (B, L, D) Tensor")
     if seq.shape[2] != params.ln_gamma.shape[0]:
@@ -337,10 +308,8 @@ def vil_block(seq: Tensor, params: VilBlockParams) -> Tensor:
             f"vil_block: model dim {seq.shape[2]} != params dim {params.ln_gamma.shape[0]}"
         )
     _check_param_dtype("vil_block", seq, params.ln_gamma)
-    reverse = params.direction == "reverse"
-    work = T.flip(seq, (1,)) if reverse else seq
 
-    u = layer_norm(work, params.ln_gamma, params.ln_beta)
+    u = layer_norm(seq, params.ln_gamma, params.ln_beta)
     up = T.matmul(u, params.up_proj)  # (B, L, 2E)
     memory_in, gate_in = T.split(up, 2, axis=2)
 
@@ -350,8 +319,7 @@ def vil_block(seq: Tensor, params: VilBlockParams) -> Tensor:
     h = T.add(h, T.mul(conv, T.broadcast_to(skip, conv.shape)))
 
     gated = T.mul(h, T.silu(gate_in))
-    y = T.add(work, T.matmul(gated, params.down_proj))
-    return T.flip(y, (1,)) if reverse else y
+    return T.add(seq, T.matmul(gated, params.down_proj))
 
 
 def volume_to_sequence(x: Tensor) -> Tensor:
@@ -383,6 +351,6 @@ def xlstm_block(x: Tensor, params: XlstmBlockParams) -> Tensor:
     seq = volume_to_sequence(x)
     _check_param_dtype("xlstm_block", seq, params.pre_gamma)
     u = layer_norm(seq, params.pre_gamma, params.pre_beta)
-    u = vil_block(u, params.forward_block)
-    u = vil_block(u, params.reverse_block)
+    u = vil_block(u, params.fwd)
+    u = T.flip(vil_block(T.flip(u, (1,)), params.rev), (1,))
     return sequence_to_volume(u, x.shape[2:])

@@ -1,5 +1,8 @@
 """U-Net assembly: shapes, variants, parameter bookkeeping, validation."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -145,6 +148,27 @@ def test_param_count_matches_manual_sum():
     net = build_network(_cfg())
     manual = sum(int(np.prod(p.shape)) for p in net.params.values())
     assert count_parameters(net) == manual
+
+
+@pytest.mark.parametrize(
+    "variant, patch, tensors, size, digest",
+    [
+        ("enc", (64, 64), 246, 635_283,
+         "379d847db381a84de05707d283fae68b7f5cbfa533a5f60a0d4ac76e6f46c75f"),
+        ("bot", (32, 32, 32), 110, 770_291,
+         "f98b4b47d93271124fd89589d3f521a62008afbed0fc9c4277a82358df887c82"),
+    ],
+    ids=["enc", "bot"],
+)
+def test_parameter_layout_is_pinned(variant, patch, tensors, size, digest):
+    # the ordered (name, shape) list of the benchmark's networks (3 classes,
+    # 4 stages, base 8) is the checkpoint's state layout
+    net = build_network(
+        NetworkConfig(in_channels=1, num_classes=3, patch_size=patch, variant=variant)
+    )
+    layout = [[name, list(p.shape)] for name, p in net.params.items()]
+    assert (len(layout), count_parameters(net)) == (tensors, size)
+    assert hashlib.sha256(json.dumps(layout).encode()).hexdigest() == digest
 
 
 def test_init_determinism_and_seed_sensitivity():

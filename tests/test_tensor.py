@@ -436,6 +436,29 @@ def test_concat(rng):
         T.concat([Tensor(a), Tensor(b)], axis=0)
 
 
+_SINGLE_AXIS_OPS = {
+    "reduce_max": lambda x, axis: T.reduce_max(x, axis),
+    "cumsum": lambda x, axis: T.cumsum(x, axis),
+    "concat": lambda x, axis: T.concat([x, x], axis),
+    "narrow": lambda x, axis: T.narrow(x, axis, 0, 1),
+    "split": lambda x, axis: T.split(x, 2, axis),
+    "softmax": lambda x, axis: N.softmax(x, axis),
+}
+
+
+@pytest.mark.parametrize(
+    "shape, axis",
+    # on 1-d input, axis=None must not quietly pick the one axis there is
+    [((2, 4), None), ((2, 4), (0, 1)), ((4,), None)],
+    ids=["None", "tuple", "None-1d"],
+)
+@pytest.mark.parametrize("op", sorted(_SINGLE_AXIS_OPS))
+def test_single_axis_ops_name_a_bad_axis(rng, op, shape, axis):
+    x = Tensor(rng.normal(size=shape))
+    with pytest.raises(ContractError, match=rf"^{op}: axis must be one int"):
+        _SINGLE_AXIS_OPS[op](x, axis)
+
+
 # ---------------------------------------------------------------------------
 # subnormal flush
 

@@ -570,7 +570,7 @@ net, _ = restore_network(load_checkpoint(Path(out) / "checkpoints" / "latest"))
 image, _ = load_case(load_dataset(data), "case_000")
 assert predict_volume(net, image, tile=True).shape == (32, 32)
 rng = np.random.default_rng(0)
-params = init_vil_params(rng, model_dim=6, direction="reverse", heads=3, dtype=np.float64)
+params = init_vil_params(rng, model_dim=6, heads=3, dtype=np.float64)
 seq = Tensor(rng.uniform(-1, 1, (2, 5, 6)), requires_grad=True)
 inputs = [seq] + [t for _, t in params.tensors()]
 assert finite_diff_check(lambda: reduce_sum(vil_block(seq, params)), inputs).passed
