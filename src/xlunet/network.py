@@ -17,6 +17,14 @@ with ``ch(i) = min(base_channels * 2**i, channel_cap)``.  The deepest stage's
 output feeds the bottleneck directly and is not used as a skip.  Residual
 blocks are conv3 -> instance norm -> leaky relu plus an identity (or
 stride-matched 1x1 conv) shortcut added after the activation.
+
+The network is one tree of parameter containers (``vil._Params``), the
+sequence blocks' parameter sets included, and attribute order is the layout:
+``Network.params`` walks ``stem.conv``, ``enc0`` .. ``enc{S-1}``,
+``bottleneck``, ``dec{S-1}`` .. ``dec0``, ``final.up`` and ``head.conv``, each
+stage as ``res0``, ``res1``, ``xlstm`` (encoder) or ``up``, ``res0``, ``res1``
+(decoder).  That order names the checkpoint's rows, the AdamW state and the
+gradient battery's inputs.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import numpy as np
 from . import tensor as T
 from .nnops import conv_nd, conv_transpose_nd, instance_norm, softmax
 from .tensor import ContractError, NumericsError, Tensor
-from .vil import XlstmBlockParams, _uniform, init_xlstm_params, xlstm_block
+from .vil import _Params, _uniform, init_xlstm_params, xlstm_block
 
 __all__ = [
     "NetworkConfig",
@@ -106,51 +114,37 @@ class NetworkConfig:
 # layers
 
 
-class _Registry:
-    def __init__(self):
-        self.params: dict[str, Tensor] = {}
+class _Group(_Params):
+    """Named parts, sublayers or tensors: keyword order is the draw order and the layout."""
 
-    def add(self, name: str, t: Tensor) -> None:
-        if name in self.params:
-            raise ContractError(f"duplicate parameter name {name!r}")
-        self.params[name] = t
-
-    def add_all(self, prefix: str, items) -> None:
-        for name, t in items:
-            self.add(f"{prefix}.{name}", t)
+    def __init__(self, **parts):
+        vars(self).update(parts)
 
 
-class _Conv:
+class _Conv(_Params):
     """Plain convolution, optional bias."""
 
-    def __init__(self, reg, name, rng, in_ch, out_ch, kernel, stride, padding, bias=True):
-        self.stride = stride
-        self.padding = padding
+    def __init__(self, rng, in_ch, out_ch, kernel, stride, padding, bias=True):
         self.w = _uniform(rng, (out_ch, in_ch) + kernel, in_ch * int(np.prod(kernel)), np.float32)
-        reg.add(f"{name}.w", self.w)
-        self.b = None
-        if bias:
-            self.b = Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True)
-            reg.add(f"{name}.b", self.b)
+        self.b = Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True) if bias else None
+        self.stride, self.padding = stride, padding
 
     def __call__(self, x: Tensor) -> Tensor:
         return conv_nd(x, self.w, self.b, stride=self.stride, padding=self.padding)
 
 
-class _UpConv:
+class _UpConv(_Params):
     """Stride-2 transposed convolution with a 2^rank kernel (exact doubling)."""
 
-    def __init__(self, reg, name, rng, in_ch, out_ch, rank):
+    def __init__(self, rng, in_ch, out_ch, rank):
         self.w = _uniform(rng, (in_ch, out_ch) + (2,) * rank, in_ch * 2**rank, np.float32)
         self.b = Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True)
-        reg.add(f"{name}.w", self.w)
-        reg.add(f"{name}.b", self.b)
 
     def __call__(self, x: Tensor) -> Tensor:
         return conv_transpose_nd(x, self.w, self.b, stride=2, padding=0)
 
 
-class _ResBlock:
+class _ResBlock(_Params):
     """conv3 -> instance norm -> leaky relu, plus a shortcut.
 
     The shortcut is the identity when shapes are preserved, otherwise a bare
@@ -158,100 +152,71 @@ class _ResBlock:
     would cancel it).
     """
 
-    def __init__(self, reg, name, rng, in_ch, out_ch, rank, stride=1):
-        self.stride = stride
-        self.conv = _Conv(
-            reg, f"{name}.conv", rng, in_ch, out_ch, (3,) * rank, stride, 1, bias=False
+    def __init__(self, rng, in_ch, out_ch, rank, stride=1):
+        self.conv = _Conv(rng, in_ch, out_ch, (3,) * rank, stride, 1, bias=False)
+        self.norm = _Group(
+            gamma=Tensor(np.ones(out_ch, dtype=np.float32), requires_grad=True),
+            beta=Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True),
         )
-        self.gamma = Tensor(np.ones(out_ch, dtype=np.float32), requires_grad=True)
-        self.beta = Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True)
-        reg.add(f"{name}.norm.gamma", self.gamma)
-        reg.add(f"{name}.norm.beta", self.beta)
-        self.proj = None
+        self.skip = None
         if in_ch != out_ch or stride != 1:
-            self.proj = _Conv(
-                reg, f"{name}.skip", rng, in_ch, out_ch, (1,) * rank, stride, 0, bias=False
-            )
+            self.skip = _Conv(rng, in_ch, out_ch, (1,) * rank, stride, 0, bias=False)
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = T.leaky_relu(instance_norm(self.conv(x), self.gamma, self.beta), 0.01)
-        shortcut = x if self.proj is None else self.proj(x)
+        y = T.leaky_relu(instance_norm(self.conv(x), self.norm.gamma, self.norm.beta), 0.01)
+        shortcut = x if self.skip is None else self.skip(x)
         return T.add(y, shortcut)
 
 
-@dataclass
-class _EncoderStage:
-    res0: _ResBlock
-    res1: _ResBlock
-    seq: XlstmBlockParams | None
-
-
-@dataclass
-class _DecoderStage:
-    up: _UpConv
-    res0: _ResBlock
-    res1: _ResBlock
+def _encode(stage: _Group, h: Tensor) -> Tensor:
+    """An encoder stage or the bottleneck: two residual blocks, then its
+    sequence block if it has one."""
+    h = stage.res1(stage.res0(h))
+    return h if stage.xlstm is None else xlstm_block(h, stage.xlstm)
 
 
 # ---------------------------------------------------------------------------
 # network
 
 
-class Network:
-    """Built parameter set + forward pass.  Construct via ``build_network``."""
+class Network(_Params):
+    """The layer tree + forward pass.  Construct via ``build_network``."""
 
     def __init__(self, config: NetworkConfig):
         config.validate()
         self.config = config
         rank = len(config.patch_size)
-        reg = _Registry()
         rng = T._rng_stream(config.seed, 0)
-        self.sequence_sites: list[str] = []
+        ch = config.stage_channels
 
-        def sequence_site(name: str, channels: int) -> XlstmBlockParams:
-            block = init_xlstm_params(rng, channels, config.heads, config.expansion, config.conv_width)
-            reg.add_all(name, block.tensors())
-            self.sequence_sites.append(name)
-            return block
+        def res(in_ch, out_ch, stride=1):
+            return _ResBlock(rng, in_ch, out_ch, rank, stride)
 
-        self.stem = _Conv(
-            reg, "stem.conv", rng, config.in_channels, config.stage_channels(0), (3,) * rank, 2, 1
+        def stage(in_ch, out_ch, stride, sequence):
+            return _Group(
+                res0=res(in_ch, out_ch, stride),
+                res1=res(out_ch, out_ch),
+                xlstm=init_xlstm_params(
+                    rng, out_ch, config.heads, config.expansion, config.conv_width
+                ) if sequence else None,
+            )
+
+        stages = config.num_stages
+        self.stem = _Group(conv=_Conv(rng, config.in_channels, ch(0), (3,) * rank, 2, 1))
+        for i in range(stages):
+            setattr(self, f"enc{i}", stage(ch(max(i - 1, 0)), ch(i), 2, config.variant == "enc"))
+        self.bottleneck = stage(ch(stages - 1), ch(stages - 1), 1, True)
+        below = ch(stages - 1)
+        for level in reversed(range(stages)):
+            skip = ch(max(level - 1, 0))  # the stem's channels, or stage level-1's
+            up = _UpConv(rng, below, skip, rank)
+            setattr(self, f"dec{level}", _Group(up=up, res0=res(2 * skip, skip), res1=res(skip, skip)))
+            below = skip
+        self.final = _Group(up=_UpConv(rng, below, config.base_channels, rank))
+        self.head = _Group(
+            conv=_Conv(rng, config.base_channels, config.num_classes, (1,) * rank, 1, 0)
         )
-        self.stages: list[_EncoderStage] = []
-        prev = config.stage_channels(0)
-        for i in range(config.num_stages):
-            ch = config.stage_channels(i)
-            res0 = _ResBlock(reg, f"enc{i}.res0", rng, prev, ch, rank, stride=2)
-            res1 = _ResBlock(reg, f"enc{i}.res1", rng, ch, ch, rank, stride=1)
-            seq = sequence_site(f"enc{i}.xlstm", ch) if config.variant == "enc" else None
-            self.stages.append(_EncoderStage(res0, res1, seq))
-            prev = ch
-
-        bot_ch = config.stage_channels(config.num_stages - 1)
-        self.bottleneck_res0 = _ResBlock(reg, "bottleneck.res0", rng, prev, bot_ch, rank)
-        self.bottleneck_res1 = _ResBlock(reg, "bottleneck.res1", rng, bot_ch, bot_ch, rank)
-        self.bottleneck_seq = sequence_site("bottleneck.xlstm", bot_ch)
-
-        # skip sources, shallow to deep: stem, stage 0 .. stage S-2
-        skip_channels = [config.stage_channels(0)] + [
-            config.stage_channels(i) for i in range(config.num_stages - 1)
-        ]
-        self.decoder: list[_DecoderStage] = []
-        below = bot_ch
-        for level in reversed(range(len(skip_channels))):
-            ch = skip_channels[level]
-            name = f"dec{level}"
-            up = _UpConv(reg, f"{name}.up", rng, below, ch, rank)
-            res0 = _ResBlock(reg, f"{name}.res0", rng, 2 * ch, ch, rank)
-            res1 = _ResBlock(reg, f"{name}.res1", rng, ch, ch, rank)
-            self.decoder.append(_DecoderStage(up, res0, res1))
-            below = ch
-
-        self.final_up = _UpConv(reg, "final.up", rng, below, config.base_channels, rank)
-        self.head = _Conv(
-            reg, "head.conv", rng, config.base_channels, config.num_classes, (1,) * rank, 1, 0
-        )
-        self.params: dict[str, Tensor] = reg.params
+        self.params: dict[str, Tensor] = dict(self.tensors())
 
     # -- passes ------------------------------------------------------------
 
@@ -274,21 +239,18 @@ class Network:
         """(B, in_channels, *spatial) -> per-voxel class probabilities
         (B, num_classes, *spatial), softmax-normalized over the class axis."""
         self._check_input(x)
-        h = self.stem(x)
-        skips = [h]
-        last = len(self.stages) - 1
-        for i, stage in enumerate(self.stages):
-            h = stage.res1(stage.res0(h))
-            if stage.seq is not None:
-                h = xlstm_block(h, stage.seq)
-            if i < last:
-                skips.append(h)
-        h = xlstm_block(self.bottleneck_res1(self.bottleneck_res0(h)), self.bottleneck_seq)
-        for dec, skip in zip(self.decoder, reversed(skips)):
-            h = dec.up(h)
-            h = T.concat([h, skip], axis=1)
+        stages = self.config.num_stages
+        h = self.stem.conv(x)
+        skips = [h]  # dec{level} takes skips[level]: the stem's, or stage level-1's
+        for i in range(stages):
+            h = _encode(getattr(self, f"enc{i}"), h)
+            skips.append(h)
+        h = _encode(self.bottleneck, h)
+        for level in reversed(range(stages)):
+            dec = getattr(self, f"dec{level}")
+            h = T.concat([dec.up(h), skips[level]], axis=1)
             h = dec.res1(dec.res0(h))
-        h = self.head(self.final_up(h))
+        h = self.head.conv(self.final.up(h))
         probs = softmax(h, axis=1)
         if not np.all(np.isfinite(probs.data)):
             raise NumericsError("forward: network output contains non-finite values")

@@ -13,8 +13,14 @@ the contract here is deliberately strict:
 - ops are module functions, called as ``T.op(...)`` (``T.add(a, b)``,
   ``T.matmul(a, w)``); ``Tensor`` has no operator overloads, so each op has
   one spelling.
+- operands: every op names itself when it refuses one.  Each operand is a
+  ``Tensor``; all are float and of one dtype, except in the ops that only
+  move elements (``reshape``, ``permute``, ``reshape_permute``, ``flip``),
+  which take any dtype.
 - ops record onto the innermost active ``Graph`` only when some input
   requires grad.  With no active graph they are plain numpy (inference).
+  An input that another graph produced is a ``GraphError``; a leaf (a
+  parameter, a checked input) enters any graph.
 - the tape keeps no ``Tensor`` and no array of its own.  A node is the
   output's token, one token per input (``None`` for an input that does not
   require grad) and the VJP closure; a token is a plain object that the
@@ -308,6 +314,13 @@ class Tensor:
 # tape
 
 
+class _Leaf:
+    """A leaf's tape token, which any graph takes; an op output's token is a
+    plain ``object``, which only the graph that produced it takes."""
+
+    __slots__ = ()
+
+
 class Graph:
     """Records differentiable ops, in execution order, for one reverse sweep.
 
@@ -325,7 +338,8 @@ class Graph:
     not require grad; an intermediate array stays alive only while a VJP
     closure or the caller references it.  Leaves (requires-grad tensors that
     entered the graph without being produced by it) are kept in ``_leaves``,
-    keyed by ``id``, to receive their gradients.
+    keyed by ``id``, to receive their gradients.  An input that another
+    graph produced is a ``GraphError``.
     """
 
     def __init__(self):
@@ -350,10 +364,16 @@ class Graph:
         if not t.requires_grad:
             return None
         token = t._token
-        if token is None or token not in self._produced:
-            self._leaves.setdefault(id(t), t)
-            if token is None:
-                token = t._token = object()
+        if token is None:
+            token = t._token = _Leaf()
+        elif token in self._produced:
+            return token
+        elif type(token) is not _Leaf:
+            raise GraphError(
+                "an op's input was produced by another graph; use detach() to"
+                " take its value as a constant"
+            )
+        self._leaves.setdefault(id(t), t)
         return token
 
     def _add_node(self, out: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
@@ -472,8 +492,17 @@ def _rng_stream(seed: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
 
 
-def _require_float(t: Tensor, op: str) -> None:
-    if t.data.dtype not in _FLOAT_DTYPES:
+def _require_tensor(t, op: str) -> None:
+    """The operand rule's first half, all that the ops which only move
+    elements ask: the operand is a ``Tensor`` (of any dtype)."""
+    if not isinstance(t, Tensor):
+        raise ContractError(f"{op}: operands must be Tensors, got {type(t).__name__}")
+
+
+def _require_float(t, op: str) -> None:
+    """The operand rule for one operand: a float ``Tensor``."""
+    if not isinstance(t, Tensor) or t.data.dtype not in _FLOAT_DTYPES:
+        _require_tensor(t, op)
         raise ContractError(f"{op}: requires a float tensor, got {t.data.dtype}")
 
 
@@ -483,7 +512,7 @@ def _check_operands(op: str, tensors) -> None:
     first = None
     for t in tensors:
         if not isinstance(t, Tensor):
-            raise ContractError(f"{op}: operands must be Tensors, got {type(t).__name__}")
+            _require_tensor(t, op)
         dtype = t.data.dtype
         if dtype is first:
             continue
@@ -867,6 +896,7 @@ def _broadcast_view(a: np.ndarray, shape: tuple) -> np.ndarray | None:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
+    _require_tensor(x, "reshape")
     shape = tuple(shape)
     xd = x.data
     try:
@@ -878,6 +908,7 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def permute(x: Tensor, axes) -> Tensor:
+    _require_tensor(x, "permute")
     axes = tuple(axes)
     xd = x.data
     inv = _inverse_permutation(axes, xd.shape, "permute")
@@ -892,6 +923,7 @@ def reshape_permute(x: Tensor, new_shape, axis_order) -> Tensor:
     The result is C-contiguous, even where numpy could reshape the permuted
     view without copying it.
     """
+    _require_tensor(x, "reshape_permute")
     axis_order = tuple(axis_order)
     new_shape = tuple(new_shape)
     inv = _inverse_permutation(axis_order, x.data.shape, "reshape_permute")
@@ -927,6 +959,7 @@ def flip(x: Tensor, axes) -> Tensor:
     # module docstring), and for a second reason: downstream BLAS calls
     # must see the same memory layout whether the caller flipped the data
     # itself or went through this op, so that both routes are bit-identical
+    _require_tensor(x, "flip")
     ndim = x.data.ndim
     axes = _norm_axes(axes, ndim, "flip")
     rev = tuple(slice(None, None, -1) if i in axes else slice(None) for i in range(ndim))
@@ -978,6 +1011,7 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 def split(x: Tensor, sections, axis: int) -> list[Tensor]:
     """Split into equal ``sections`` (int) or given sizes (sequence)."""
+    _require_float(x, "split")
     ax = _norm_axis(axis, x.ndim, "split")
     n = x.shape[ax]
     if isinstance(sections, int):

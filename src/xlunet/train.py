@@ -358,9 +358,11 @@ def _mirror(image: np.ndarray, label: np.ndarray, rng: np.random.Generator):
 
 
 def _mean_foreground_dice(net: Network, cases, num_classes: int) -> float:
+    """Mean foreground Dice over ``cases``, each predicted whole where the
+    network takes it whole and tiled elsewhere."""
     scores = []
     for image, label in cases:
-        pred = predict_volume(net, image, tile=False)
+        pred = predict_volume(net, image, tile=not net.config._fits(image.shape[1:]))
         for cls in range(1, num_classes):
             scores.append(dice_coefficient(pred == cls, label == cls))
     return float(np.mean(scores))

@@ -37,7 +37,7 @@ the reversed order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,19 +64,20 @@ __all__ = [
 
 
 class _Params:
-    """Base of the parameter dataclasses: their field order is their layout,
-    the checkpoint's and the gradient battery's input order."""
+    """Base of every parameter container, from these dataclasses up to the
+    network: the order in which one assigns its attributes (a dataclass: its
+    field order) is its layout, the checkpoint's and the gradient battery's
+    input order."""
 
     def tensors(self) -> list[tuple[str, Tensor]]:
-        """Every Tensor field in declaration order, a nested parameter set's
-        under "<field>."."""
+        """Every Tensor attribute in assignment order, a nested container's
+        under "<attribute>."."""
         out = []
-        for field in fields(self):
-            value = getattr(self, field.name)
+        for name, value in vars(self).items():
             if isinstance(value, Tensor):
-                out.append((field.name, value))
+                out.append((name, value))
             elif isinstance(value, _Params):
-                out += [(f"{field.name}.{n}", t) for n, t in value.tensors()]
+                out += [(f"{name}.{n}", t) for n, t in value.tensors()]
         return out
 
 

@@ -229,6 +229,21 @@ def test_backward_on_foreign_tensor():
         backward(other, g)
 
 
+def test_input_from_another_graph_rejected():
+    # y was recorded in g1: in g2 it would be a leaf whose gradient never
+    # reaches x, so g2 refuses it; a leaf enters every graph
+    x = _leaf([1.0, 2.0])
+    with Graph():
+        y = T.mul(x, 2.0)
+    with Graph() as g2:
+        with pytest.raises(GraphError, match="produced by another graph; use detach"):
+            T.mul(y, 3.0)
+        loss = T.reduce_sum(T.mul(T.add(y.detach(), x), 3.0))
+    backward(loss, g2)
+    np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+    assert y.grad is None
+
+
 def test_backward_names_a_loss_that_needs_no_grad():
     with Graph() as g:
         loss = T.reduce_sum(Tensor(np.ones(3)))

@@ -1,10 +1,16 @@
 """Command-line interface: subcommands, exit codes, artifacts."""
 
+import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xlunet
 from xlunet.cli import main
 from xlunet.data import read_xten, write_xten
 
@@ -261,3 +267,18 @@ def test_train_without_config_or_resume_fails(workspace, tmp_path, capsys):
     code = main(["train", "--data", str(workspace / "data"), "--out", str(tmp_path / "y")])
     assert code == 1
     assert "--config" in capsys.readouterr().err
+
+
+def test_overfit_demo_runs_end_to_end(tmp_path):
+    # README's demo, one epoch of the bot variant, in a fresh interpreter
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(Path(xlunet.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "overfit_demo.py"),
+         "--out", str(tmp_path), "--variant", "bot", "--epochs", "1"],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(tmp_path / "report.csv", newline="") as f:
+        means = [row for row in csv.DictReader(f) if row["case_id"] == "mean"]
+    assert sorted(row["class_id"] for row in means) == ["1", "2"]

@@ -11,6 +11,7 @@ from xlunet.losses import LossConfig, dice_ce_loss
 from xlunet.network import NetworkConfig, build_network, count_parameters
 from xlunet.tensor import ContractError, Graph, Tensor, backward
 from xlunet.train import predict_volume
+from xlunet.vil import XlstmBlockParams
 import xlunet.tensor as T
 
 
@@ -124,18 +125,24 @@ def test_forward_rejects_wrong_channels_and_sizes():
 # variants and parameters
 
 
+def _sequence_sites(net):
+    """The names of the sequence blocks in the network's layer tree, in
+    layout order."""
+    return [
+        f"{name}.xlstm"
+        for name, layer in vars(net).items()
+        if isinstance(getattr(layer, "xlstm", None), XlstmBlockParams)
+    ]
+
+
 def test_sequence_site_counts():
     bot = build_network(_cfg(variant="bot", num_stages=3, patch_size=(32, 32)))
     enc = build_network(_cfg(variant="enc", num_stages=3, patch_size=(32, 32)))
-    assert len(bot.sequence_sites) == 1
-    assert bot.sequence_sites == ["bottleneck.xlstm"]
-    assert len(enc.sequence_sites) == 3 + 1
-    assert set(enc.sequence_sites) == {
-        "enc0.xlstm",
-        "enc1.xlstm",
-        "enc2.xlstm",
-        "bottleneck.xlstm",
-    }
+    assert _sequence_sites(bot) == ["bottleneck.xlstm"]
+    assert _sequence_sites(enc) == ["enc0.xlstm", "enc1.xlstm", "enc2.xlstm", "bottleneck.xlstm"]
+    for net in (bot, enc):  # a site's parameters are listed under its name
+        prefixes = {n.split(".xlstm.")[0] + ".xlstm" for n in net.params if ".xlstm." in n}
+        assert prefixes == set(_sequence_sites(net))
 
 
 def test_enc_has_more_parameters_than_bot():
@@ -202,6 +209,19 @@ def test_gradients_reach_every_parameter():
     assert nonzero >= 0.9 * len(net.params)
     net.zero_grad()
     assert all(p.grad is None for p in net.params.values())
+
+
+@pytest.mark.parametrize("variant", ["enc", "bot"])
+def test_taped_leaves_are_the_params(variant):
+    # a tensor that a layer holds outside the tree walk would go untrained
+    # and unsaved: the leaves of one training step are exactly net.params
+    net = build_network(_cfg(variant=variant))
+    rng = np.random.default_rng(2)
+    x = Tensor(rng.normal(size=(2, 1, 16, 16)).astype(np.float32))
+    with Graph() as g:
+        loss = dice_ce_loss(net.forward(x), rng.integers(0, 2, size=(2, 16, 16)), LossConfig())
+    backward(loss, g)
+    assert sorted(map(id, g._leaves.values())) == sorted(map(id, net.params.values()))
 
 
 def test_decoder_mirrors_encoder_resolutions():

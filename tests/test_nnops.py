@@ -514,14 +514,36 @@ def test_conv_input_without_grad_gets_no_cotangent(rng, monkeypatch, op, stride,
 
 
 # ---------------------------------------------------------------------------
-# the operand contract: matmul, concat, the convolutions, the norms and
-# softmax take float Tensors of one dtype, and name themselves when they
-# refuse one
+# the operand contract: every op takes Tensor operands, float ones of one
+# dtype except where it only moves elements, and names itself when it
+# refuses one
 
 # op -> (call, float32 operand shapes)
 _OPERAND_CALLS = {
+    "add": (T.add, [(2, 3), (2, 3)]),
+    "sub": (T.sub, [(2, 3), (2, 3)]),
+    "mul": (T.mul, [(2, 3), (2, 3)]),
+    "div": (T.div, [(2, 3), (2, 3)]),
+    "exp": (T.exp, [(2, 3)]),
+    "log": (T.log, [(2, 3)]),
+    "sigmoid": (T.sigmoid, [(2, 3)]),
+    "silu": (T.silu, [(2, 3)]),
+    "leaky_relu": (T.leaky_relu, [(2, 3)]),
+    "absolute": (T.absolute, [(2, 3)]),
+    "max_with_scalar": (lambda x: T.max_with_scalar(x, 0.5), [(2, 3)]),
     "matmul": (T.matmul, [(2, 3), (3, 4)]),
+    "reduce_sum": (T.reduce_sum, [(2, 3)]),
+    "reduce_mean": (T.reduce_mean, [(2, 3)]),
+    "reduce_max": (lambda x: T.reduce_max(x, axis=1), [(2, 3)]),
+    "cumsum": (lambda x: T.cumsum(x, axis=1), [(2, 3)]),
+    "reshape": (lambda x: T.reshape(x, (3, 2)), [(2, 3)]),
+    "permute": (lambda x: T.permute(x, (1, 0)), [(2, 3)]),
+    "reshape_permute": (lambda x: T.reshape_permute(x, (6,), (1, 0)), [(2, 3)]),
+    "broadcast_to": (lambda x: T.broadcast_to(x, (4, 2, 3)), [(2, 3)]),
+    "flip": (lambda x: T.flip(x, (1,)), [(2, 3)]),
     "concat": (lambda a, b: T.concat([a, b], axis=0), [(2, 3), (1, 3)]),
+    "narrow": (lambda x: T.narrow(x, 1, 1, 2), [(2, 3)]),
+    "split": (lambda x: T.split(x, 3, axis=1)[0], [(2, 3)]),
     "conv_nd": (lambda x, w, b: N.conv_nd(x, w, b, padding=1), [(1, 2, 4, 4), (3, 2, 3, 3), (3,)]),
     "conv_transpose_nd": (
         lambda x, w, b: N.conv_transpose_nd(x, w, b, stride=2),
@@ -532,6 +554,8 @@ _OPERAND_CALLS = {
     "instance_norm": (N.instance_norm, [(2, 3, 4, 4), (3,), (3,)]),
     "softmax": (lambda x: N.softmax(x, axis=1), [(2, 3, 4)]),
 }
+# the ops that only move elements: any dtype passes, as labels and masks do
+_ANY_DTYPE = {"reshape", "permute", "reshape_permute", "flip"}
 # the one operand that breaks the contract, made from its float32 array
 _BAD_OPERANDS = {
     "ndarray": lambda a: a,
@@ -548,6 +572,7 @@ _BAD_OPERANDS = {
         for op, (_, shapes) in _OPERAND_CALLS.items()
         for bad in _BAD_OPERANDS
         if bad != "float64" or len(shapes) > 1  # one operand cannot mix dtypes
+        if bad != "int32" or op not in _ANY_DTYPE
     ],
 )
 def test_operand_contract_names_the_op(op, bad):
@@ -559,3 +584,14 @@ def test_operand_contract_names_the_op(op, bad):
         args[i] = _BAD_OPERANDS[bad](arrays[i])
         with pytest.raises(ContractError, match=f"^{op}: "):
             call(*args)
+
+
+def test_operand_table_covers_every_op():
+    not_ops = {"ContractError", "GraphError", "NumericsError", "Tensor", "Graph", "backward"}
+    assert set(_OPERAND_CALLS) == (set(T.__all__) - not_ops) | set(N.__all__)
+
+
+@pytest.mark.parametrize("op", sorted(_ANY_DTYPE))
+def test_element_moving_ops_keep_an_int_dtype(op):
+    call, [shape] = _OPERAND_CALLS[op]
+    assert call(Tensor(np.arange(6, dtype=np.int32).reshape(shape))).dtype == np.int32

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import xlunet
 import xlunet.train as train
 from xlunet.data import XtenError, generate_dataset, load_case, load_dataset
-from xlunet.metrics import evaluate_case
+from xlunet.metrics import dice_coefficient, evaluate_case
 from xlunet.network import build_network
 from xlunet.optim import init_adamw
 from xlunet.tensor import ContractError, Tensor
@@ -478,6 +478,23 @@ def test_predict_rejects_indivisible_without_tile(dataset, tmp_path):
     assert out.shape == (20, 32)
 
 
+def test_early_stop_tiles_cases_the_net_cannot_take_whole(tmp_path):
+    # 20x20 cases are no multiple of 2 ** (stages + 1) = 8: the train-set
+    # Dice of early stopping scores them tiled instead of refusing them
+    data = tmp_path / "data"
+    info = generate_dataset(data, num_cases=2, classes=3, dims=2, size=(20, 20), seed=2)
+    cfg = _tiny_cfg(patch_size=(16, 16), early_stop_dice=1.0, early_stop_interval=2)
+    lines = []
+    assert run_training(cfg, data, tmp_path / "run", log=lines.append).epochs_completed == 2
+    net, _ = restore_network(load_checkpoint(tmp_path / "run" / "checkpoints" / "latest"))
+    scores = []
+    for case_id in info.cases:
+        image, label = load_case(info, case_id)
+        pred = predict_volume(net, image, tile=True)
+        scores += [dice_coefficient(pred == c, label == c) for c in (1, 2)]
+    assert f"epoch 2: train foreground dice {np.mean(scores):.4f}" in lines
+
+
 def test_predict_tiled_on_small_volume_pads_and_crops(dataset, tmp_path):
     run_training(_tiny_cfg(), dataset, tmp_path / "run")
     net, _ = restore_network(load_checkpoint(tmp_path / "run" / "checkpoints" / "latest"))
@@ -558,7 +575,7 @@ import numpy as np
 import xlunet
 from xlunet import finite_diff_check, init_vil_params, vil_block
 from xlunet.data import load_case, load_dataset
-from xlunet.metrics import evaluate_case
+from xlunet.metrics import dice_coefficient, evaluate_case
 from xlunet.tensor import Tensor, reduce_sum
 from xlunet.train import RunConfig, load_checkpoint, predict_volume, restore_network, run_training
 
