@@ -1,19 +1,26 @@
 """Finite-difference verification of every differentiable op.
 
 ``finite_diff_check`` compares tape gradients of a scalar-valued function
-against float64 central differences at sampled elements.  ``standard_checks``
-is the registry the CLI runs: one entry per kernel (tolerance 1e-5) plus
-composite blocks and a tiny end-to-end network with the segmentation loss
-(tolerance 1e-4 — longer chains accumulate more rounding).
+against float64 central differences at sampled elements.  ``_CHECKS`` is the
+battery ``run_checks`` runs, one row per check.  A kernel's row (tolerance
+1e-5) takes ⟨op(inputs), random cotangent⟩: ``_op`` draws a bare op's inputs
+from their shapes, ``_block`` a sequence block's parameters and input.  The
+composite rows chain several ops, and a tiny end-to-end network with the
+segmentation loss checks at 1e-4 (longer chains accumulate more rounding).
+Each check draws from its own stream, keyed by ``crc32`` of its name, so a row
+added, dropped or moved changes no other check's inputs.
 
 Inputs are always built in float64; check functions close over their input
 tensors and recompute from ``Tensor.data``, so the harness can nudge single
-elements in place.  Kink-bearing ops (leaky relu, |x|, max) get inputs kept
-away from their kinks; everything else uses generic random values.
+elements in place (strided inputs too; a read-only one is refused).
+Kink-bearing ops (leaky relu, |x|, max) get inputs kept away from their
+kinks; everything else uses generic random values.  The rows call every op
+through its module binding when they run, so a wrapper installed on that
+binding (a tracer's) sees the call.
 
 ``corrupted_backward`` is a negative control: it makes every reverse sweep
-deliberately wrong, scaling each leaf gradient ``Graph.backward`` leaves, and
-a gradcheck run under it must fail.  No VJP knows about it.
+deliberately wrong, scaling each leaf gradient ``Graph.backward`` leaves by
+1.02, and a gradcheck run under it must fail.  No VJP knows about it.
 """
 
 from __future__ import annotations
@@ -48,11 +55,12 @@ from .vil import (
 __all__ = [
     "CheckResult",
     "finite_diff_check",
-    "standard_checks",
     "run_checks",
-    "check_modules",
     "corrupted_backward",
 ]
+
+# an element passes when |ad - fd| <= _ABS_TOL + rel_tol * max(|ad|, |fd|)
+_ABS_TOL = 1e-8
 
 
 @dataclass
@@ -66,20 +74,21 @@ class CheckResult:
 
     def line(self) -> str:
         status = "ok  " if self.passed else "FAIL"
-        return f"{status}  {self.name:<28} max_rel={self.max_rel:9.3e}  n={self.n_checked}"
+        out = f"{status}  {self.name:<28} max_rel={self.max_rel:9.3e}  n={self.n_checked}"
+        return out if self.passed else f"{out}  {self.worst}"
 
 
 @contextmanager
-def corrupted_backward(scale: float = 0.02):
-    """Scale every leaf gradient of each ``Graph.backward`` by ``1 + scale``
-    — checks must then fail.  Restores the ``Graph.backward`` it found, which
-    may itself be a wrapper (a tracer's, say)."""
+def corrupted_backward():
+    """Scale every leaf gradient of each ``Graph.backward`` by 1.02 — checks
+    must then fail.  Restores the ``Graph.backward`` it found, which may
+    itself be a wrapper (a tracer's, say)."""
     found = Graph.backward
 
     def wrong_backward(self, loss):
         found(self, loss)
         for leaf in self._leaves.values():
-            leaf.grad = leaf.grad * (1.0 + scale)
+            leaf.grad = leaf.grad * 1.02
 
     Graph.backward = wrong_backward
     try:
@@ -93,7 +102,6 @@ def finite_diff_check(
     inputs: list[Tensor],
     step: float = 1e-5,
     rel_tol: float = 1e-5,
-    abs_tol: float = 1e-8,
     max_per_input: int = 6,
     rng: np.random.Generator | None = None,
     name: str = "check",
@@ -102,16 +110,21 @@ def finite_diff_check(
     """Compare tape gradients of scalar-valued ``fn()`` against central
     differences at up to ``max_per_input`` elements of each input.
 
-    An element passes when ``|ad - fd| <= abs_tol + rel_tol * max(|ad|, |fd|)``.
-    ``max_rel`` reports the worst ``|ad - fd| / (abs_tol/rel_tol + max(|ad|, |fd|))``,
-    directly comparable against ``rel_tol``.
+    An element passes when ``|ad - fd| <= 1e-8 + rel_tol * max(|ad|, |fd|)``.
+    ``max_rel`` reports the worst ``|ad - fd| / (1e-8/rel_tol + max(|ad|, |fd|))``,
+    directly comparable against ``rel_tol``.  Each element is perturbed in
+    place in its input's own array, and put back even if ``fn`` raises.
     """
     rng = rng or np.random.default_rng(0)
-    for t in inputs:
+    for idx, t in enumerate(inputs):
         if t.data.dtype != np.float64:
             raise ContractError(f"finite_diff_check: input dtype {t.data.dtype}; use float64")
         if not t.requires_grad:
             raise ContractError("finite_diff_check: all inputs must require grad")
+        if not t.data.flags.writeable:
+            raise ContractError(
+                f"finite_diff_check: input[{idx}] is read-only; it cannot be perturbed in place"
+            )
         t.grad = None
 
     with Graph() as g:
@@ -120,28 +133,30 @@ def finite_diff_check(
         raise ContractError(f"finite_diff_check: fn must return a scalar, got shape {loss.shape}")
     g.backward(loss)
 
-    floor = abs_tol / rel_tol
+    floor = _ABS_TOL / rel_tol
     max_rel = 0.0
     n_checked = 0
     worst = ""
     passed = True
     for idx, t in enumerate(inputs):
         grad = t.grad
-        flat = t.data.reshape(-1)
-        size = flat.shape[0]
+        size = t.data.size
         if size <= max_per_input:
             picks = np.arange(size)
         else:
             picks = np.sort(rng.choice(size, size=max_per_input, replace=False))
         for j in picks:
-            orig = flat[j]
-            flat[j] = orig + step
-            hi = fn().item()
-            flat[j] = orig - step
-            lo = fn().item()
-            flat[j] = orig
+            at = np.unravel_index(j, t.shape)
+            orig = t.data[at]
+            try:
+                t.data[at] = orig + step
+                hi = fn().item()
+                t.data[at] = orig - step
+                lo = fn().item()
+            finally:
+                t.data[at] = orig
             fd = (hi - lo) / (2.0 * step)
-            ad = float(grad.reshape(-1)[j])
+            ad = float(grad[at])
             err = abs(ad - fd)
             ref = max(abs(ad), abs(fd))
             rel = err / (floor + ref)
@@ -149,13 +164,13 @@ def finite_diff_check(
             if rel > max_rel:
                 max_rel = rel
                 worst = f"input[{idx}] elem {j}: ad={ad:.6e} fd={fd:.6e}"
-            if err > abs_tol + rel_tol * ref:
+            if err > _ABS_TOL + rel_tol * ref:
                 passed = False
     return CheckResult(name, module, passed, max_rel, n_checked, worst)
 
 
 # ---------------------------------------------------------------------------
-# registry
+# the battery
 
 
 @dataclass
@@ -174,6 +189,35 @@ def _t(rng, shape, lo=-1.0, hi=1.0) -> Tensor:
 
 def _weighted_sum(y: Tensor, w: Tensor) -> Tensor:
     return T.reduce_sum(T.mul(y, w))
+
+
+def _op(op, *specs, out=None):
+    """⟨op(*inputs), wt⟩: draw each input from its spec, a shape or
+    ``(shape, lo, hi)`` (default range ±1), in order, then the cotangent
+    ``wt`` of shape ``out`` (by default the first input's).  The inputs are
+    the drawn ones, then ``wt``."""
+
+    def build(rng):
+        inputs = [_t(rng, *(s if isinstance(s[0], tuple) else (s,))) for s in specs]
+        wt = _t(rng, out or inputs[0].shape)
+        return lambda: _weighted_sum(op(*inputs), wt), inputs + [wt]
+
+    return build
+
+
+def _block(init, op, shape):
+    """⟨op(x, params), wt⟩ for a sequence block: draw ``params = init(rng)``,
+    then the input ``x`` and the cotangent ``wt``, both of ``shape``.  The
+    inputs are ``x``, ``wt``, then every parameter in layout order."""
+
+    def build(rng):
+        params = init(rng)
+        x = _t(rng, shape)
+        wt = _t(rng, shape)
+        inputs = [x, wt] + [t for _, t in params.tensors()]
+        return lambda: _weighted_sum(op(x, params), wt), inputs
+
+    return build
 
 
 def _build_arithmetic(rng):
@@ -224,17 +268,6 @@ def _build_matmul(rng):
     return fn, [a, b]
 
 
-def _build_matmul_batched(rng):
-    a = _t(rng, (2, 3, 3, 4))
-    b = _t(rng, (4, 5))
-    w = _t(rng, (2, 3, 3, 5))
-
-    def fn():
-        return _weighted_sum(T.matmul(a, b), w)
-
-    return fn, [a, b, w]
-
-
 def _build_reductions(rng):
     x = _t(rng, (3, 4, 2))
 
@@ -243,26 +276,6 @@ def _build_reductions(rng):
         return T.add(T.reduce_sum(y), T.reduce_mean(x))
 
     return fn, [x]
-
-
-def _build_reduce_max(rng):
-    x = _t(rng, (4, 6))
-    w = _t(rng, (4,))
-
-    def fn():
-        return T.reduce_sum(T.mul(T.reduce_max(x, axis=1), w))
-
-    return fn, [x, w]
-
-
-def _build_cumsum(rng):
-    x = _t(rng, (3, 5))
-    w = _t(rng, (3, 5))
-
-    def fn():
-        return _weighted_sum(T.cumsum(x, axis=1), w)
-
-    return fn, [x, w]
 
 
 def _build_shape_ops(rng):
@@ -276,152 +289,6 @@ def _build_shape_ops(rng):
         return _weighted_sum(T.concat([hi, lo], axis=1), w)
 
     return fn, [x, w]
-
-
-def _build_broadcast(rng):
-    x = _t(rng, (3, 1))
-    w = _t(rng, (4, 3, 5))
-
-    def fn():
-        return _weighted_sum(T.broadcast_to(x, (4, 3, 5)), w)
-
-    return fn, [x, w]
-
-
-def _conv_builder(rank: int):
-    def build(rng):
-        sp = {1: (7,), 2: (6, 5), 3: (5, 4, 4)}[rank]
-        x = _t(rng, (2, 3) + sp)
-        w = _t(rng, (4, 3) + (3,) * rank)
-        bias = _t(rng, (4,))
-        out_sp = tuple((n + 2 - 3) // 2 + 1 for n in sp)
-        wt = _t(rng, (2, 4) + out_sp)
-
-        def fn():
-            return _weighted_sum(conv_nd(x, w, bias, stride=2, padding=1), wt)
-
-        return fn, [x, w, bias, wt]
-
-    return build
-
-
-def _convt_builder(rank: int):
-    def build(rng):
-        sp = {1: (5,), 2: (4, 3), 3: (3, 3, 2)}[rank]
-        x = _t(rng, (2, 4) + sp)
-        w = _t(rng, (4, 3) + (2,) * rank)
-        bias = _t(rng, (3,))
-        out_sp = tuple(2 * n for n in sp)
-        wt = _t(rng, (2, 3) + out_sp)
-
-        def fn():
-            return _weighted_sum(conv_transpose_nd(x, w, bias, stride=2, padding=0), wt)
-
-        return fn, [x, w, bias, wt]
-
-    return build
-
-
-def _build_convt_output_size(rng):
-    x = _t(rng, (2, 2, 3, 3))
-    w = _t(rng, (2, 3, 3, 3))
-    out_sp = (6, 6)  # default would be 5x5; 6x6 floors back to the same input
-    wt = _t(rng, (2, 3) + out_sp)
-
-    def fn():
-        y = conv_transpose_nd(x, w, stride=2, padding=1, output_size=out_sp)
-        return _weighted_sum(y, wt)
-
-    return fn, [x, w, wt]
-
-
-def _build_causal_conv(rng):
-    x = _t(rng, (2, 6, 4))
-    k = _t(rng, (4, 3))
-    bias = _t(rng, (4,))
-    wt = _t(rng, (2, 6, 4))
-
-    def fn():
-        return _weighted_sum(causal_conv1d(x, k, bias), wt)
-
-    return fn, [x, k, bias, wt]
-
-
-def _build_instance_norm(rng):
-    x = _t(rng, (2, 3, 4, 5))
-    gamma = _t(rng, (3,), 0.5, 1.5)
-    beta = _t(rng, (3,))
-    wt = _t(rng, (2, 3, 4, 5))
-
-    def fn():
-        return _weighted_sum(instance_norm(x, gamma, beta), wt)
-
-    return fn, [x, gamma, beta, wt]
-
-
-def _build_layer_norm(rng):
-    x = _t(rng, (2, 5, 6))
-    gamma = _t(rng, (6,), 0.5, 1.5)
-    beta = _t(rng, (6,))
-    wt = _t(rng, (2, 5, 6))
-
-    def fn():
-        return _weighted_sum(layer_norm(x, gamma, beta), wt)
-
-    return fn, [x, gamma, beta, wt]
-
-
-def _build_softmax(rng):
-    x = _t(rng, (2, 4, 3))
-    wt = _t(rng, (2, 4, 3))
-
-    def fn():
-        return _weighted_sum(softmax(x, axis=1), wt)
-
-    return fn, [x, wt]
-
-
-def _build_mlstm_sequence(rng):
-    params = init_mlstm_params(rng, embed_dim=8, heads=2, dtype=np.float64)
-    seq = _t(rng, (2, 5, 8))
-    wt = _t(rng, (2, 5, 8))
-    inputs = [seq, wt] + [t for _, t in params.tensors()]
-
-    def fn():
-        return _weighted_sum(mlstm_sequence(seq, params), wt)
-
-    return fn, inputs
-
-
-def _vil_builder(reverse: bool):
-    """The block as ``xlstm_block`` runs its forward or its reverse half."""
-
-    def build(rng):
-        params = init_vil_params(rng, model_dim=6, heads=3, dtype=np.float64)
-        seq = _t(rng, (2, 5, 6))
-        wt = _t(rng, (2, 5, 6))
-        inputs = [seq, wt] + [t for _, t in params.tensors()]
-
-        def fn():
-            if reverse:
-                return _weighted_sum(T.flip(vil_block(T.flip(seq, (1,)), params), (1,)), wt)
-            return _weighted_sum(vil_block(seq, params), wt)
-
-        return fn, inputs
-
-    return build
-
-
-def _build_xlstm_block(rng):
-    params = init_xlstm_params(rng, channels=4, heads=2, dtype=np.float64)
-    x = _t(rng, (2, 4, 2, 4))
-    wt = _t(rng, (2, 4, 2, 4))
-    inputs = [x, wt] + [t for _, t in params.tensors()]
-
-    def fn():
-        return _weighted_sum(xlstm_block(x, params), wt)
-
-    return fn, inputs
 
 
 def _build_dice_ce(rng):
@@ -459,63 +326,112 @@ def _build_end_to_end(rng):
     return fn, list(net.params.values())
 
 
-def standard_checks() -> list[OpCheck]:
-    checks = [
-        OpCheck("arithmetic", "tensor", _build_arithmetic),
-        OpCheck("unary_smooth", "tensor", _build_unary_smooth),
-        OpCheck("kinked_units", "tensor", _build_kinked),
-        OpCheck("matmul", "tensor", _build_matmul),
-        OpCheck("matmul_batched", "tensor", _build_matmul_batched),
-        OpCheck("reductions", "tensor", _build_reductions),
-        OpCheck("reduce_max", "tensor", _build_reduce_max),
-        OpCheck("cumsum", "tensor", _build_cumsum),
-        OpCheck("shape_ops", "tensor", _build_shape_ops),
-        OpCheck("broadcast_to", "tensor", _build_broadcast),
-        OpCheck("conv1d", "nnops", _conv_builder(1)),
-        OpCheck("conv2d", "nnops", _conv_builder(2)),
-        OpCheck("conv3d", "nnops", _conv_builder(3)),
-        OpCheck("conv_transpose1d", "nnops", _convt_builder(1)),
-        OpCheck("conv_transpose2d", "nnops", _convt_builder(2)),
-        OpCheck("conv_transpose3d", "nnops", _convt_builder(3)),
-        OpCheck("conv_transpose_output_size", "nnops", _build_convt_output_size),
-        OpCheck("causal_conv1d", "nnops", _build_causal_conv),
-        OpCheck("instance_norm", "nnops", _build_instance_norm),
-        OpCheck("layer_norm", "nnops", _build_layer_norm),
-        OpCheck("softmax", "nnops", _build_softmax),
-        OpCheck("mlstm_sequence", "vil", _build_mlstm_sequence, max_per_input=4),
-        OpCheck("vil_block_forward", "vil", _vil_builder(reverse=False), max_per_input=4),
-        OpCheck("vil_block_reverse", "vil", _vil_builder(reverse=True), max_per_input=4),
-        OpCheck("xlstm_block", "vil", _build_xlstm_block, max_per_input=3),
-        OpCheck("dice_ce_loss", "losses", _build_dice_ce, rel_tol=1e-4),
-        OpCheck(
-            "end_to_end_tiny_net",
-            "network",
-            _build_end_to_end,
-            rel_tol=1e-4,
-            # the net has kinks (leaky relu, |x|, max); at 1e-5 the central
-            # difference straddles one on some seeds (25 and 40 among 0-79)
-            step=1e-6,
-            max_per_input=1,
-        ),
-    ]
-    return checks
+def _conv(x, w, b):  # spatial n -> (n - 1) // 2 + 1
+    return conv_nd(x, w, b, stride=2, padding=1)
 
 
-def check_modules() -> list[str]:
-    seen = []
-    for c in standard_checks():
-        if c.module not in seen:
-            seen.append(c.module)
-    return seen
+def _convt(x, w, b):  # spatial n -> 2n
+    return conv_transpose_nd(x, w, b, stride=2, padding=0)
+
+
+def _convt_6x6(x, w):  # the default output would be 5x5; 6x6 floors back to 3x3
+    return conv_transpose_nd(x, w, stride=2, padding=1, output_size=(6, 6))
+
+
+def _reversed_vil(u, p):  # the block as ``xlstm_block`` runs its reverse half
+    return T.flip(vil_block(T.flip(u, (1,)), p), (1,))
+
+
+_CHECKS = (
+    OpCheck("arithmetic", "tensor", _build_arithmetic),
+    OpCheck("unary_smooth", "tensor", _build_unary_smooth),
+    OpCheck("kinked_units", "tensor", _build_kinked),
+    OpCheck("matmul", "tensor", _build_matmul),
+    OpCheck(
+        "matmul_batched", "tensor",
+        _op(lambda a, b: T.matmul(a, b), (2, 3, 3, 4), (4, 5), out=(2, 3, 3, 5)),
+    ),
+    OpCheck("reductions", "tensor", _build_reductions),
+    OpCheck("reduce_max", "tensor", _op(lambda x: T.reduce_max(x, axis=1), (4, 6), out=(4,))),
+    OpCheck("cumsum", "tensor", _op(lambda x: T.cumsum(x, axis=1), (3, 5))),
+    OpCheck("shape_ops", "tensor", _build_shape_ops),
+    OpCheck(
+        "broadcast_to", "tensor",
+        _op(lambda x: T.broadcast_to(x, (4, 3, 5)), (3, 1), out=(4, 3, 5)),
+    ),
+    OpCheck("conv1d", "nnops", _op(_conv, (2, 3, 7), (4, 3, 3), (4,), out=(2, 4, 4))),
+    OpCheck("conv2d", "nnops", _op(_conv, (2, 3, 6, 5), (4, 3, 3, 3), (4,), out=(2, 4, 3, 3))),
+    OpCheck(
+        "conv3d", "nnops",
+        _op(_conv, (2, 3, 5, 4, 4), (4, 3, 3, 3, 3), (4,), out=(2, 4, 3, 2, 2)),
+    ),
+    OpCheck("conv_transpose1d", "nnops", _op(_convt, (2, 4, 5), (4, 3, 2), (3,), out=(2, 3, 10))),
+    OpCheck(
+        "conv_transpose2d", "nnops",
+        _op(_convt, (2, 4, 4, 3), (4, 3, 2, 2), (3,), out=(2, 3, 8, 6)),
+    ),
+    OpCheck(
+        "conv_transpose3d", "nnops",
+        _op(_convt, (2, 4, 3, 3, 2), (4, 3, 2, 2, 2), (3,), out=(2, 3, 6, 6, 4)),
+    ),
+    OpCheck(
+        "conv_transpose_output_size", "nnops",
+        _op(_convt_6x6, (2, 2, 3, 3), (2, 3, 3, 3), out=(2, 3, 6, 6)),
+    ),
+    OpCheck("causal_conv1d", "nnops", _op(lambda *a: causal_conv1d(*a), (2, 6, 4), (4, 3), (4,))),
+    OpCheck(
+        "instance_norm", "nnops",
+        _op(lambda *a: instance_norm(*a), (2, 3, 4, 5), ((3,), 0.5, 1.5), (3,)),
+    ),
+    OpCheck(
+        "layer_norm", "nnops",
+        _op(lambda *a: layer_norm(*a), (2, 5, 6), ((6,), 0.5, 1.5), (6,)),
+    ),
+    OpCheck("softmax", "nnops", _op(lambda x: softmax(x, axis=1), (2, 4, 3))),
+    OpCheck(
+        "mlstm_sequence", "vil",
+        _block(lambda r: init_mlstm_params(r, 8, 2, dtype=np.float64),
+               lambda *a: mlstm_sequence(*a), (2, 5, 8)),
+        max_per_input=4,
+    ),
+    OpCheck(
+        "vil_block_forward", "vil",
+        _block(lambda r: init_vil_params(r, 6, 3, dtype=np.float64),
+               lambda *a: vil_block(*a), (2, 5, 6)),
+        max_per_input=4,
+    ),
+    OpCheck(
+        "vil_block_reverse", "vil",
+        _block(lambda r: init_vil_params(r, 6, 3, dtype=np.float64),
+               _reversed_vil, (2, 5, 6)),
+        max_per_input=4,
+    ),
+    OpCheck(
+        "xlstm_block", "vil",
+        _block(lambda r: init_xlstm_params(r, 4, 2, dtype=np.float64),
+               lambda *a: xlstm_block(*a), (2, 4, 2, 4)),
+        max_per_input=3,
+    ),
+    OpCheck("dice_ce_loss", "losses", _build_dice_ce, rel_tol=1e-4),
+    OpCheck(
+        "end_to_end_tiny_net",
+        "network",
+        _build_end_to_end,
+        rel_tol=1e-4,
+        # the net has kinks (leaky relu, |x|, max); at 1e-5 the central
+        # difference straddles one on some seeds (25 and 40 among 0-79)
+        step=1e-6,
+        max_per_input=1,
+    ),
+)
 
 
 def run_checks(module: str | None = None, seed: int = 0) -> list[CheckResult]:
-    """Run the registry (optionally one module's checks), seeded."""
-    selected = [c for c in standard_checks() if module is None or c.module == module]
+    """Run the battery (optionally one module's checks), seeded."""
+    selected = [c for c in _CHECKS if module is None or c.module == module]
     if not selected:
-        raise ContractError(
-            f"no gradient checks in module {module!r}; use one of {check_modules()}"
-        )
+        modules = list(dict.fromkeys(c.module for c in _CHECKS))
+        raise ContractError(f"no gradient checks in module {module!r}; use one of {modules}")
     results = []
     for check in selected:
         rng = T._rng_stream(seed, zlib.crc32(check.name.encode()))

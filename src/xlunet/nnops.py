@@ -3,7 +3,7 @@ transpose, instance/layer norm, softmax, and a depthwise causal 1-d conv.
 
 These are single tape nodes with hand-written backwards (the closed forms are
 cheaper and numerically tighter than composing primitives); every one of them
-is covered by the finite-difference registry in gradcheck.py.
+is covered by the finite-difference battery in gradcheck.py.
 
 Convolutions are GEMMs over patch matrices, but no full patch matrix is ever
 built.  ``_slabs`` takes a strided (B, C, *k, *out) view of the zero-padded

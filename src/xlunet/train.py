@@ -195,6 +195,24 @@ def _replace_synced(tmp: Path, final: Path) -> None:
     os.replace(tmp, final)
 
 
+_LOG_HEADER = "step,epoch,lr,loss,seconds\n"
+
+
+def _keep_logged_steps(log_path: Path, global_step: int) -> None:
+    """Cut ``log_path`` back to its header and the rows of steps up to
+    ``global_step``, the resumed checkpoint's: an interrupted epoch's rows,
+    and a torn last row (no newline), go.  A missing log starts afresh."""
+    rows = log_path.read_text().splitlines(keepends=True)[1:] if log_path.exists() else []
+
+    def held(row: str) -> bool:
+        step = row.split(",", 1)[0]
+        return row.endswith("\n") and step.isdigit() and int(step) <= global_step
+
+    tmp = log_path.with_name(log_path.name + ".tmp")
+    tmp.write_text(_LOG_HEADER + "".join(filter(held, rows)))
+    _replace_synced(tmp, log_path)
+
+
 # (state, digest) of every open ``_one_state`` block, keyed by the ids of its
 # (net, opt_state), which stay alive while the block is open
 _EPOCH_STATE: dict[tuple[int, int], tuple[np.ndarray, str]] = {}
@@ -400,6 +418,7 @@ def run_training(
     opt_cfg = cfg.adamw_config()
     loss_cfg = cfg.loss_config()
 
+    log_path = out_dir / "train_log.csv"
     if resume_from is not None:
         manifest = load_checkpoint(resume_from)
         stored_cfg = run_config_from_dict(manifest["config"])
@@ -420,6 +439,7 @@ def run_training(
         global_step = int(manifest["global_step"])
         best_loss = float(manifest["best_loss"])
         log_mode = "a"
+        _keep_logged_steps(log_path, global_step)
     else:
         net = build_network(cfg.network_config())
         opt_state = init_adamw(net.params)
@@ -428,11 +448,10 @@ def run_training(
         best_loss = float("inf")
         log_mode = "w"
 
-    log_path = out_dir / "train_log.csv"
     epoch_loss = float("nan")
     with open(log_path, log_mode) as log_file:
         if log_mode == "w":
-            log_file.write("step,epoch,lr,loss,seconds\n")
+            log_file.write(_LOG_HEADER)
         for epoch in range(start_epoch, cfg.max_epochs):
             lr = lr_schedule(epoch, cfg.learning_rate, cfg.max_epochs, cfg.schedule)
             losses = []

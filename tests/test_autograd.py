@@ -1,6 +1,8 @@
 """Reverse-mode engine: graph lifecycle, gradient routing, finite differences."""
 
 import gc
+import sys
+import types
 import weakref
 
 import numpy as np
@@ -329,6 +331,71 @@ def test_finite_diff_check_rejects_float32():
     x = Tensor(np.ones((2,), dtype=np.float32), requires_grad=True)
     with pytest.raises(ContractError, match="float64"):
         finite_diff_check(lambda: T.reduce_sum(x), [x], rng=np.random.default_rng(0))
+
+
+def test_finite_diff_check_perturbs_a_strided_input_in_place(rng):
+    # a transposed view: a flattened copy would be perturbed instead, and
+    # every central difference would read 0
+    x = Tensor(rng.uniform(-1, 1, (4, 3)).T, requires_grad=True)
+    assert not x.data.flags.c_contiguous
+    res = finite_diff_check(lambda: T.reduce_sum(T.mul(x, x)), [x], rng=rng)
+    assert res.passed and res.n_checked == 6, res.line()
+
+
+def test_finite_diff_check_restores_an_input_when_fn_raises(rng):
+    x = _leaf(rng.uniform(-1, 1, (3, 2)))
+    before = x.data.copy()
+    calls = []
+
+    def fn():
+        calls.append(1)
+        if len(calls) == 2:  # the first perturbed evaluation
+            raise ArithmeticError("boom")
+        return T.reduce_sum(T.mul(x, x))
+
+    with pytest.raises(ArithmeticError, match="boom"):
+        finite_diff_check(fn, [x], rng=rng)
+    np.testing.assert_array_equal(x.data, before)
+
+
+def test_finite_diff_check_rejects_a_read_only_input():
+    arr = np.ones((2, 2))
+    arr.flags.writeable = False
+    x = Tensor(arr, requires_grad=True)
+    with pytest.raises(ContractError, match=r"input\[0\] is read-only"):
+        finite_diff_check(lambda: T.reduce_sum(x), [x], rng=np.random.default_rng(0))
+
+
+def test_battery_reaches_every_differentiable_op(monkeypatch):
+    # every op of tensor's and nnops' __all__, wrapped under each binding the
+    # package holds of it, must see an input that requires grad; check names
+    # must be unique, since each names its check's random stream
+    ops = {
+        id(fn): (name, fn)
+        for mod in (T, N)
+        for name in mod.__all__
+        if isinstance(fn := getattr(mod, name), types.FunctionType) and name != "backward"
+    }
+    reached = set()
+
+    def wrap(name, fn):
+        def op(*args, **kwargs):
+            flat = [a for arg in args for a in (arg if isinstance(arg, list) else [arg])]
+            if any(isinstance(a, Tensor) and a.requires_grad for a in flat):
+                reached.add(name)
+            return fn(*args, **kwargs)
+
+        return op
+
+    wrappers = {key: wrap(name, fn) for key, (name, fn) in ops.items()}
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is not None and (mod_name == "xlunet" or mod_name.startswith("xlunet.")):
+            for attr, value in list(vars(mod).items()):
+                if isinstance(value, types.FunctionType) and id(value) in wrappers:
+                    monkeypatch.setattr(mod, attr, wrappers[id(value)])
+    names = [r.name for r in run_checks(seed=0)]
+    assert len(set(names)) == len(names), names
+    assert sorted(name for name, _ in ops.values() if name not in reached) == []
 
 
 def test_corrupted_backward_is_detected(rng):

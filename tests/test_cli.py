@@ -168,8 +168,11 @@ def test_gradcheck_subcommand_ok():
     assert main(["gradcheck", "--module", "tensor"]) == 0
 
 
-def test_gradcheck_corrupt_fails():
+def test_gradcheck_corrupt_fails(capsys):
     assert main(["gradcheck", "--module", "tensor", "--corrupt", "--seed", "2"]) == 1
+    # a failing line names its worst element: input, index, ad and fd
+    fails = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL")]
+    assert fails and all("input[" in ln and " fd=" in ln for ln in fails), fails
 
 
 def test_usage_errors_exit_2():

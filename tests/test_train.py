@@ -264,6 +264,50 @@ def test_crash_mid_save_resumes_bit_exact(dataset, tmp_path, monkeypatch):
     _assert_same_final_state(tmp_path / "a", tmp_path / "b")
 
 
+def _logged(run_dir):
+    """The log's deterministic columns: step, epoch, lr, loss."""
+    return [row.rsplit(",", 1)[0] for row in (run_dir / "train_log.csv").read_text().splitlines()]
+
+
+@pytest.mark.parametrize(
+    "at_step, torn",
+    [
+        # stopped at step 7, the run has logged steps 5-6 past its step-4
+        # checkpoint; the resume logs them again
+        (7, ""),
+        # a kill mid-write leaves part of a row with no newline: here the "1"
+        # of step 11's, which reads as a step the step-8 checkpoint holds
+        (11, "1"),
+    ],
+    ids=["mid_epoch", "torn_row"],
+)
+def test_resumed_log_equals_uninterrupted(dataset, tmp_path, monkeypatch, at_step, torn):
+    cfg = _tiny_cfg(patch_size=(16, 16), max_epochs=3, steps_per_epoch=4)
+    run_training(cfg, dataset, tmp_path / "a")
+
+    class Stop(Exception):
+        pass
+
+    calls = []
+    real_step = train.adamw_step
+
+    def step(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == at_step:
+            raise Stop
+        real_step(*args, **kwargs)
+
+    monkeypatch.setattr(train, "adamw_step", step)
+    with pytest.raises(Stop):
+        run_training(cfg, dataset, tmp_path / "b")
+    monkeypatch.undo()
+    with open(tmp_path / "b" / "train_log.csv", "a") as f:
+        f.write(torn)
+    run_training(cfg, dataset, tmp_path / "b", resume_from=tmp_path / "b" / "checkpoints" / "latest")
+    assert len(_logged(tmp_path / "a")) == 13
+    assert _logged(tmp_path / "b") == _logged(tmp_path / "a")
+
+
 def test_checkpoint_is_a_manifest_and_one_state_file(dataset, tmp_path, monkeypatch):
     listings = []
     real_save = train.save_checkpoint
