@@ -37,7 +37,6 @@ from .tensor import (
     GraphError,
     NumericsError,
     Tensor,
-    backward,
 )
 from .train import (
     RunConfig,

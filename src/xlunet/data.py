@@ -226,9 +226,10 @@ class DatasetInfo:
     seed: int
 
 
-def _synthesize_case(
-    rng: np.random.Generator, classes: int, size: tuple[int, ...], noise: float = 0.1
-):
+_NOISE_STD = 0.1  # Gaussian noise added to every synthetic image
+
+
+def _synthesize_case(rng: np.random.Generator, classes: int, size: tuple[int, ...]):
     """One (image, label) pair; every foreground class appears at least once."""
     ndim = len(size)
     image = np.zeros(size, dtype=np.float32)
@@ -249,7 +250,7 @@ def _synthesize_case(
             intensity = base + rng.uniform(-0.08, 0.08)
             image[mask] = intensity
             label[mask] = cls
-    image += rng.normal(0.0, noise, size=size).astype(np.float32)
+    image += rng.normal(0.0, _NOISE_STD, size=size).astype(np.float32)
     return image[None].astype(np.float32), label  # (1, *size) image, (*size) label
 
 
@@ -271,6 +272,8 @@ def generate_dataset(
         raise ContractError(f"classes must be >= 2 (background + foreground), got {classes}")
     if num_cases < 1:
         raise ContractError(f"num_cases must be >= 1, got {num_cases}")
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     if isinstance(size, int):
         size = (size,) * dims
     size = tuple(int(s) for s in size)

@@ -132,6 +132,9 @@ def finite_diff_check(
     if loss.size != 1:
         raise ContractError(f"finite_diff_check: fn must return a scalar, got shape {loss.shape}")
     g.backward(loss)
+    for idx, t in enumerate(inputs):
+        if t.grad is None:
+            raise ContractError(f"finite_diff_check: input[{idx}] never entered fn's graph")
 
     floor = _ABS_TOL / rel_tol
     max_rel = 0.0
@@ -251,7 +254,7 @@ def _build_kinked(rng):
     a = Tensor(raw, requires_grad=True, dtype=np.float64)
 
     def fn():
-        y = T.add(T.leaky_relu(a, 0.01), T.absolute(a))
+        y = T.add(T.leaky_relu(a), T.absolute(a))
         y = T.add(y, T.max_with_scalar(a, 0.3))
         return T.reduce_sum(y)
 

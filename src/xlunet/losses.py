@@ -6,7 +6,8 @@ For class k, with p the predicted probability map and g the one-hot target,
     dice_k = (2 * sum(p_k * g_k) + eps) / (sum(p_k) + sum(g_k) + eps)
 
 where the sums run over the whole batch and all voxels (one ratio per class,
-not per sample).  The loss is ``(1 - mean_k dice_k) + ce`` with the mean over
+not per sample) and ``eps`` is the smoothing constant ``_DICE_SMOOTH`` =
+1e-5.  The loss is ``(1 - mean_k dice_k) + ce`` with the mean over
 foreground classes only (unless configured otherwise) and ``ce`` the mean
 negative log probability of the target class, optionally class-weighted.
 Probabilities are clamped to >= 1e-12 before the log so a float32 softmax
@@ -25,19 +26,17 @@ from .tensor import ContractError, NumericsError, Tensor
 
 __all__ = ["LossConfig", "dice_ce_loss"]
 
+_DICE_SMOOTH = 1e-5
 _PROB_FLOOR = 1e-12
 _CHANNEL_SUM_TOL = 1e-4
 
 
 @dataclass
 class LossConfig:
-    dice_smooth: float = 1e-5
     include_background: bool = False
     class_weights: tuple[float, ...] | None = None  # CE weights, one per class
 
     def validate(self, num_classes: int) -> None:
-        if self.dice_smooth <= 0:
-            raise ContractError(f"dice_smooth must be positive, got {self.dice_smooth}")
         if self.class_weights is not None:
             if len(self.class_weights) != num_classes:
                 raise ContractError(
@@ -92,10 +91,9 @@ def dice_ce_loss(probs: Tensor, target: np.ndarray, cfg: LossConfig | None = Non
     intersect = T.reduce_sum(T.mul(probs, onehot_t), axis=reduce_axes)  # (K,)
     pred_sum = T.reduce_sum(probs, axis=reduce_axes)
     target_sum = Tensor(onehot.sum(axis=reduce_axes))
-    eps = float(cfg.dice_smooth)
     dice = T.div(
-        T.add(T.mul(intersect, 2.0), eps),
-        T.add(T.add(pred_sum, target_sum), eps),
+        T.add(T.mul(intersect, 2.0), _DICE_SMOOTH),
+        T.add(T.add(pred_sum, target_sum), _DICE_SMOOTH),
     )
     if not cfg.include_background:
         dice = T.narrow(dice, 0, 1, k - 1)

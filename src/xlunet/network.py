@@ -94,6 +94,11 @@ class NetworkConfig:
             raise ContractError(
                 f"need 1 <= base_channels <= channel_cap, got {self.base_channels}, {self.channel_cap}"
             )
+        for name in ("heads", "expansion", "conv_width"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         if not self._fits(self.patch_size):
             raise ContractError(
                 f"patch_size {self.patch_size}: every dim must be a positive multiple of"
@@ -163,7 +168,7 @@ class _ResBlock(_Params):
             self.skip = _Conv(rng, in_ch, out_ch, (1,) * rank, stride, 0, bias=False)
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = T.leaky_relu(instance_norm(self.conv(x), self.norm.gamma, self.norm.beta), 0.01)
+        y = T.leaky_relu(instance_norm(self.conv(x), self.norm.gamma, self.norm.beta))
         shortcut = x if self.skip is None else self.skip(x)
         return T.add(y, shortcut)
 

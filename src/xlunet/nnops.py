@@ -85,6 +85,8 @@ __all__ = [
 # fit together in one core's L2 (2 MiB on the x86-64 CPU this was tuned on),
 # or the GEMM streams the slab back from memory and the copy buys nothing.
 _SLAB_BYTES = 512 * 1024
+# added to the variance by instance_norm and layer_norm
+_NORM_EPS = 1e-5
 
 
 def _per_axis(value, rank: int, name: str) -> tuple[int, ...]:
@@ -391,21 +393,22 @@ def conv_transpose_nd(
     return record(out, inputs, vjp)
 
 
-def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Depthwise causal convolution over the middle axis of (B, L, E).
+def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """Depthwise causal convolution over the middle axis of (B, L, E), plus
+    a per-channel ``bias`` of shape (E,).
 
     Left-pads with ``width - 1`` zeros so position t sees x[t-width+1 .. t]
     only; ``kernel`` is (E, width) with column ``width - 1`` as the tap on the
     current position.
     """
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
+    inputs = (x, kernel, bias)
     _check_operands("causal_conv1d", inputs)
     xd, kd = x.data, kernel.data
     if xd.ndim != 3 or kd.ndim != 2 or kd.shape[0] != xd.shape[2]:
         raise ContractError(
             f"causal_conv1d: expected x (B, L, E) and kernel (E, width), got {xd.shape} and {kd.shape}"
         )
-    if bias is not None and bias.data.shape != (xd.shape[2],):
+    if bias.data.shape != (xd.shape[2],):
         raise ContractError(f"causal_conv1d: bias shape {bias.data.shape} != ({xd.shape[2]},)")
     b, length, emb = xd.shape
     width = kd.shape[1]
@@ -414,10 +417,7 @@ def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tens
     y = np.zeros_like(xd)
     for tap in range(width):
         y += xp[:, tap : tap + length, :] * kd[:, tap]
-    if bias is not None:
-        y = y + bias.data
-    out = Tensor(y)
-    has_bias = bias is not None
+    out = Tensor(y + bias.data)
 
     def vjp(g):
         gxp = np.zeros_like(xp)
@@ -425,20 +425,17 @@ def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tens
         for tap in range(width):
             gxp[:, tap : tap + length, :] += g * kd[:, tap]
             gk[:, tap] = (g * xp[:, tap : tap + length, :]).sum(axis=(0, 1))
-        gx = gxp[:, width - 1 :, :]
-        if not has_bias:
-            return gx, gk
-        return gx, gk, g.sum(axis=(0, 1))
+        return gxp[:, width - 1 :, :], gk, g.sum(axis=(0, 1))
 
     return record(out, inputs, vjp)
 
 
 def _normalize(
-    op: str, x: Tensor, gamma: Tensor, beta: Tensor, eps: float, axes: tuple, feat: int
+    op: str, x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple, feat: int
 ) -> Tensor:
     """Normalize ``x`` over ``axes``, then scale and shift by gamma/beta along
     axis ``feat``.  One tape node; population variance (no Bessel
-    correction)."""
+    correction), with ``_NORM_EPS`` added to it."""
     xd = x.data
     n_feat = xd.shape[feat]
     if gamma.data.shape != (n_feat,) or beta.data.shape != (n_feat,):
@@ -447,7 +444,7 @@ def _normalize(
         )
     rest = tuple(range(feat)) + tuple(range(feat + 1, xd.ndim))
     centered = xd - _mean(xd, axes)
-    inv = 1.0 / np.sqrt(_mean(centered * centered, axes) + eps)
+    inv = 1.0 / np.sqrt(_mean(centered * centered, axes) + _NORM_EPS)
     xhat = centered * inv
     gshape = (n_feat,) + (1,) * (xd.ndim - 1 - feat)  # broadcasts along ``feat``
     gd = gamma.data.reshape(gshape)
@@ -463,7 +460,7 @@ def _normalize(
     return record(out, (x, gamma, beta), vjp)
 
 
-def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize each (batch, channel) slice over its spatial extent.
 
     x is (B, C, *sp); gamma/beta are per-channel scale/shift.  Population
@@ -472,15 +469,15 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> 
     _check_operands("instance_norm", (x, gamma, beta))
     if x.ndim < 3:
         raise ContractError(f"instance_norm: input must be (B, C, *spatial), got {x.shape}")
-    return _normalize("instance_norm", x, gamma, beta, eps, tuple(range(2, x.ndim)), feat=1)
+    return _normalize("instance_norm", x, gamma, beta, tuple(range(2, x.ndim)), feat=1)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis; gamma/beta have that axis's length."""
     _check_operands("layer_norm", (x, gamma, beta))
     if x.ndim < 1:
         raise ContractError("layer_norm: input must have at least one axis")
-    return _normalize("layer_norm", x, gamma, beta, eps, (x.ndim - 1,), feat=x.ndim - 1)
+    return _normalize("layer_norm", x, gamma, beta, (x.ndim - 1,), feat=x.ndim - 1)
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:

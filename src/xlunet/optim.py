@@ -23,18 +23,17 @@ from .tensor import ContractError, NumericsError, Tensor
 
 __all__ = ["AdamWConfig", "AdamWState", "init_adamw", "adamw_step", "lr_schedule"]
 
+_POLY_EXPONENT = 0.9
+
 
 @dataclass
 class AdamWConfig:
-    learning_rate: float = 0.005
     weight_decay: float = 0.05
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
     def validate(self) -> None:
-        if self.learning_rate <= 0:
-            raise ContractError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0 <= self.weight_decay < 1:
             raise ContractError(f"weight_decay must be in [0, 1), got {self.weight_decay}")
         for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
@@ -63,12 +62,13 @@ def adamw_step(
     params: dict[str, Tensor],
     state: AdamWState,
     cfg: AdamWConfig,
-    lr: float | None = None,
+    lr: float,
 ) -> None:
-    """Apply one update in place.  ``lr`` overrides cfg.learning_rate so a
-    schedule can drive it; moments update even for zero gradients."""
+    """Apply one update in place at learning rate ``lr``, which the caller's
+    schedule gives (``lr_schedule``); moments update even for zero
+    gradients."""
     cfg.validate()
-    lr = cfg.learning_rate if lr is None else float(lr)
+    lr = float(lr)
     if lr < 0:
         raise ContractError(f"adamw_step: negative learning rate {lr}")
     if set(state.exp_avg) != set(params):
@@ -107,10 +107,9 @@ def lr_schedule(
     base_lr: float,
     max_epochs: int,
     kind: str = "poly",
-    exponent: float = 0.9,
 ) -> float:
-    """LR for a 0-based epoch: poly decay ``base * (1 - epoch/max)^exponent``
-    or constant."""
+    """LR for a 0-based epoch: poly decay ``base * (1 - epoch/max)^0.9``
+    (``_POLY_EXPONENT``) or constant."""
     if kind == "const":
         return float(base_lr)
     if kind != "poly":
@@ -120,4 +119,4 @@ def lr_schedule(
     if not 0 <= epoch <= max_epochs:
         raise ContractError(f"lr_schedule: epoch {epoch} outside [0, {max_epochs}]")
     frac = 1.0 - epoch / max_epochs
-    return float(base_lr * frac**exponent)
+    return float(base_lr * frac**_POLY_EXPONENT)

@@ -94,7 +94,6 @@ __all__ = [
     "NumericsError",
     "Tensor",
     "Graph",
-    "backward",
     "add",
     "sub",
     "mul",
@@ -224,6 +223,8 @@ class _flush_subnormals:
         return False
 
 
+_LEAKY_SLOPE = 0.01  # leaky_relu's slope below zero
+
 _FLOAT_DTYPES = frozenset((np.dtype(np.float32), np.dtype(np.float64)))
 _SUPPORTED_DTYPES = _FLOAT_DTYPES | {np.dtype(np.int32), np.dtype(np.uint8)}
 
@@ -328,7 +329,7 @@ class Graph:
 
         with Graph() as g:
             loss = model(x)
-        backward(loss, g)
+        g.backward(loss)
 
     A graph is single-use: ``backward`` consumes it.  Ops executed while no
     graph is active are not recorded at all.
@@ -444,18 +445,6 @@ class Graph:
 
 
 _GRAPH_STACK: list[Graph] = []
-
-
-def _active_graph() -> Graph | None:
-    return _GRAPH_STACK[-1] if _GRAPH_STACK else None
-
-
-def backward(loss: Tensor, graph: Graph | None = None) -> None:
-    """Run the reverse sweep for ``loss`` on ``graph`` (default: active graph)."""
-    g = graph if graph is not None else _active_graph()
-    if g is None:
-        raise GraphError("backward: no graph given and none is active")
-    g.backward(loss)
 
 
 def record(out: Tensor, inputs: tuple[Tensor, ...], vjp) -> Tensor:
@@ -707,14 +696,15 @@ def silu(x: Tensor) -> Tensor:
     return record(out, (x,), lambda g: (g * s * (1.0 + xd * (1.0 - s)),))
 
 
-def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
+def leaky_relu(x: Tensor) -> Tensor:
+    """x where x > 0, else ``_LEAKY_SLOPE`` * x (0.01); subgradient 0.01 at 0."""
     _require_float(x, "leaky_relu")
     pos = x.data > 0
-    out = Tensor(np.where(pos, x.data, negative_slope * x.data))
+    out = Tensor(np.where(pos, x.data, _LEAKY_SLOPE * x.data))
     dtype = x.data.dtype
 
     def vjp(g):
-        return (g * np.where(pos, np.asarray(1.0, dtype), np.asarray(negative_slope, dtype)),)
+        return (g * np.where(pos, np.asarray(1.0, dtype), np.asarray(_LEAKY_SLOPE, dtype)),)
 
     return record(out, (x,), vjp)
 
@@ -1009,22 +999,12 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     return record(out, (x,), vjp)
 
 
-def split(x: Tensor, sections, axis: int) -> list[Tensor]:
-    """Split into equal ``sections`` (int) or given sizes (sequence)."""
+def split(x: Tensor, sections: int, axis: int) -> list[Tensor]:
+    """Split into ``sections`` equal parts along ``axis``."""
     _require_float(x, "split")
     ax = _norm_axis(axis, x.ndim, "split")
     n = x.shape[ax]
-    if isinstance(sections, int):
-        if sections <= 0 or n % sections != 0:
-            raise ContractError(f"split: {n} does not divide into {sections} equal parts")
-        sizes = [n // sections] * sections
-    else:
-        sizes = list(sections)
-        if sum(sizes) != n:
-            raise ContractError(f"split: sizes {sizes} do not sum to axis length {n}")
-    outs = []
-    start = 0
-    for s in sizes:
-        outs.append(narrow(x, ax, start, s))
-        start += s
-    return outs
+    if type(sections) is not int or sections <= 0 or n % sections != 0:
+        raise ContractError(f"split: {n} does not divide into {sections!r} equal parts")
+    size = n // sections
+    return [narrow(x, ax, i * size, size) for i in range(sections)]

@@ -42,7 +42,6 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    DatasetInfo,
     _centre_pads,
     _check_fields,
     _read_json_object,
@@ -63,7 +62,7 @@ from .metrics import (
 )
 from .network import Network, NetworkConfig, build_network, count_parameters
 from .optim import AdamWConfig, AdamWState, adamw_step, init_adamw, lr_schedule
-from .tensor import ContractError, Graph, NumericsError, Tensor, _rng_stream, backward
+from .tensor import ContractError, Graph, NumericsError, Tensor, _rng_stream
 
 __all__ = [
     "RunConfig",
@@ -120,6 +119,8 @@ class RunConfig:
 
     def validate(self) -> None:
         self.network_config().validate()
+        if self.learning_rate <= 0:
+            raise ContractError(f"learning_rate must be positive, got {self.learning_rate}")
         self.adamw_config().validate()
         for name in ("batch_size", "max_epochs", "steps_per_epoch", "early_stop_interval"):
             if getattr(self, name) < 1:
@@ -141,7 +142,6 @@ class RunConfig:
 
     def adamw_config(self) -> AdamWConfig:
         return AdamWConfig(
-            learning_rate=self.learning_rate,
             weight_decay=self.weight_decay,
             beta1=self.beta1,
             beta2=self.beta2,
@@ -363,10 +363,6 @@ class TrainResult:
     out_dir: Path
 
 
-def _load_all_cases(info: DatasetInfo) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [load_case(info, case_id) for case_id in info.cases]
-
-
 def _mirror(image: np.ndarray, label: np.ndarray, rng: np.random.Generator):
     for axis in range(label.ndim):
         if rng.random() < 0.5:
@@ -411,7 +407,7 @@ def run_training(
         )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cases = _load_all_cases(info)
+    cases = [load_case(info, case_id) for case_id in info.cases]
 
     sampling_rng = _rng_stream(cfg.seed, 1)
     augment_rng = _rng_stream(cfg.seed, 2)
@@ -475,7 +471,7 @@ def run_training(
                     with Graph() as graph:
                         probs = net.forward(batch)
                         loss = dice_ce_loss(probs, target, loss_cfg)
-                    backward(loss, graph)
+                    graph.backward(loss)
                     loss_value = float(loss.item())
                     adamw_step(net.params, opt_state, opt_cfg, lr=lr)
                 except NumericsError as e:
@@ -597,7 +593,6 @@ def run_eval(
     metrics=METRIC_NAMES,
     tolerance: float = 1.0,
     iou_threshold: float = 0.5,
-    stderr=None,
 ) -> int:
     """Score every ``<case>.xten`` in ``gt_dir`` against ``pred_dir``.
 
@@ -607,7 +602,6 @@ def run_eval(
     not integer, holds a negative label or differs in shape from its pair is
     a ``ContractError`` naming the file.
     """
-    stderr = stderr if stderr is not None else sys.stderr
     pred_dir = Path(pred_dir)
     gt_dir = Path(gt_dir)
     out_path = Path(out_path)
@@ -645,7 +639,7 @@ def run_eval(
         print(
             f"warning: {len(missing)} case(s) had no prediction and were excluded:"
             f" {', '.join(missing)}",
-            file=stderr,
+            file=sys.stderr,
         )
         return 1
     return 0

@@ -219,12 +219,10 @@ def _causal_mask(length: int, dtype) -> np.ndarray:
     return mask
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     y = T.matmul(x, w)
-    if b is not None:
-        col = T.reshape(b, (1,) * (y.ndim - 1) + (b.shape[0],))
-        y = T.add(y, T.broadcast_to(col, y.shape))
-    return y
+    col = T.reshape(b, (1,) * (y.ndim - 1) + (b.shape[0],))
+    return T.add(y, T.broadcast_to(col, y.shape))
 
 
 def _check_param_dtype(op: str, x: Tensor, param: Tensor) -> None:

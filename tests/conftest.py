@@ -1,7 +1,12 @@
+import builtins
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import xlunet
 import xlunet.tensor as T
 
 settings.register_profile(
@@ -17,6 +22,22 @@ settings.load_profile("ci")
 @pytest.fixture
 def rng():
     return np.random.default_rng(0x5EED)
+
+
+@pytest.fixture(scope="session")
+def child_env(pytestconfig):
+    """The environment of a fresh interpreter a test starts: it imports this
+    package, and the warnings that pyproject.toml's ``filterwarnings`` makes
+    errors are errors there too (those of builtin categories: pytest's own
+    cannot arise outside pytest)."""
+    filters = [
+        f for f in pytestconfig.getini("filterwarnings") if f.rsplit(":", 1)[-1] in vars(builtins)
+    ]
+    return dict(
+        os.environ,
+        PYTHONPATH=str(Path(xlunet.__file__).parents[1]),
+        PYTHONWARNINGS=",".join(filters),
+    )
 
 
 def _subnormals_flush() -> bool:

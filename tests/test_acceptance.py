@@ -119,11 +119,12 @@ def _overfit(variant, target, data_dir, out_dir):
     res = run_training(cfg, data_dir, out_dir)
     elapsed = time.time() - t0
     # measure the final train-set foreground dice with the shipped weights
-    from xlunet.train import _load_all_cases, _mean_foreground_dice
-    from xlunet.data import load_dataset
+    from xlunet.train import _mean_foreground_dice
+    from xlunet.data import load_case, load_dataset
 
     net, _ = restore_network(load_checkpoint(Path(out_dir) / "checkpoints" / "latest"))
-    score = _mean_foreground_dice(net, _load_all_cases(load_dataset(data_dir)), 3)
+    info = load_dataset(data_dir)
+    score = _mean_foreground_dice(net, [load_case(info, c) for c in info.cases], 3)
     return score, elapsed, res
 
 

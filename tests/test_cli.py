@@ -2,7 +2,6 @@
 
 import csv
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import xlunet
 from xlunet.cli import main
-from xlunet.data import read_xten, write_xten
+from xlunet.data import XtenTruncated, read_xten, write_xten
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +113,26 @@ def test_predict_directory_and_eval(workspace, tmp_path):
     assert set(rows[0]["classes"]) == {"1", "2"}
     csv_text = (tmp_path / "report.csv").read_text()
     assert csv_text.startswith("case_id,class_id,dsc,nsd,hd95,f1")
+
+
+def test_every_prefix_of_a_predicted_label_file_is_truncated(workspace, tmp_path):
+    # predict writes its output in place: a kill mid-write leaves a prefix,
+    # which a reader must refuse by name
+    out = tmp_path / "out.xten"
+    code = main(
+        [
+            "predict",
+            "--ckpt", str(workspace / "run" / "checkpoints" / "latest"),
+            "--input", str(workspace / "data" / "images" / "case_000.xten"),
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    whole = out.read_bytes()
+    for n in range(len(whole)):
+        out.write_bytes(whole[:n])
+        with pytest.raises(XtenTruncated):
+            read_xten(out)
 
 
 def test_eval_metric_subset(workspace, tmp_path):
@@ -266,20 +284,34 @@ def test_manifest_without_config_exits_1(workspace, tmp_path, capsys):
     assert "'config'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["train", "--config", "{cfg}", "--data", "{tmp}/data", "--out", "{tmp}/run"], "heads"),
+        (["gen-data", "--out", "{tmp}/data", "--seed", "-1"], "seed"),
+    ],
+    ids=["train", "gen-data"],
+)
+def test_a_bad_setting_exits_1_naming_it(tmp_path, capsys, argv, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"patch_size": [32, 32], "num_classes": 3, "heads": 0}))
+    assert main([a.format(cfg=cfg, tmp=tmp_path) for a in argv]) == 1
+    assert f"{key} must be" in capsys.readouterr().err
+
+
 def test_train_without_config_or_resume_fails(workspace, tmp_path, capsys):
     code = main(["train", "--data", str(workspace / "data"), "--out", str(tmp_path / "y")])
     assert code == 1
     assert "--config" in capsys.readouterr().err
 
 
-def test_overfit_demo_runs_end_to_end(tmp_path):
+def test_overfit_demo_runs_end_to_end(tmp_path, child_env):
     # README's demo, one epoch of the bot variant, in a fresh interpreter
     repo = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(Path(xlunet.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, str(repo / "scripts" / "overfit_demo.py"),
          "--out", str(tmp_path), "--variant", "bot", "--epochs", "1"],
-        env=env, capture_output=True, text=True, check=False,
+        env=child_env, capture_output=True, text=True, check=False,
     )
     assert proc.returncode == 0, proc.stderr
     with open(tmp_path / "report.csv", newline="") as f:

@@ -9,7 +9,7 @@ import pytest
 import xlunet.nnops as nnops
 from xlunet.losses import LossConfig, dice_ce_loss
 from xlunet.network import NetworkConfig, build_network, count_parameters
-from xlunet.tensor import ContractError, Graph, Tensor, backward
+from xlunet.tensor import ContractError, Graph, Tensor
 from xlunet.train import predict_volume
 from xlunet.vil import XlstmBlockParams
 import xlunet.tensor as T
@@ -199,7 +199,7 @@ def test_gradients_reach_every_parameter():
     with Graph() as g:
         out = net.forward(x)
         loss = T.reduce_sum(T.mul(out, out))
-    backward(loss, g)
+    g.backward(loss)
     for name, p in net.params.items():
         assert p.grad is not None, name
         assert np.isfinite(p.grad).all(), name
@@ -220,7 +220,7 @@ def test_taped_leaves_are_the_params(variant):
     x = Tensor(rng.normal(size=(2, 1, 16, 16)).astype(np.float32))
     with Graph() as g:
         loss = dice_ce_loss(net.forward(x), rng.integers(0, 2, size=(2, 16, 16)), LossConfig())
-    backward(loss, g)
+    g.backward(loss)
     assert sorted(map(id, g._leaves.values())) == sorted(map(id, net.params.values()))
 
 

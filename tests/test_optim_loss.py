@@ -14,7 +14,8 @@ from xlunet.optim import (
     init_adamw,
     lr_schedule,
 )
-from xlunet.tensor import ContractError, Graph, NumericsError, Tensor, backward
+from xlunet.tensor import ContractError, Graph, NumericsError, Tensor
+from xlunet.train import RunConfig
 
 
 def _param(arr):
@@ -31,8 +32,8 @@ def test_single_step_closed_form():
     p = {"w": _param([1.0])}
     p["w"].grad = np.array([1.0], dtype=np.float32)
     state = init_adamw(p)
-    cfg = AdamWConfig(learning_rate=0.1, weight_decay=0.0)
-    adamw_step(p, state, cfg)
+    cfg = AdamWConfig(weight_decay=0.0)
+    adamw_step(p, state, cfg, lr=0.1)
     want = 1.0 - 0.1 / (1.0 + cfg.eps)
     np.testing.assert_allclose(p["w"].data, [want], rtol=1e-6)
     assert state.step_count == 1
@@ -43,7 +44,7 @@ def test_decay_is_decoupled_and_first():
     p = {"w": _param([2.0])}
     p["w"].grad = np.zeros(1, dtype=np.float32)
     state = init_adamw(p)
-    adamw_step(p, state, AdamWConfig(learning_rate=0.01, weight_decay=0.05))
+    adamw_step(p, state, AdamWConfig(weight_decay=0.05), lr=0.01)
     np.testing.assert_allclose(p["w"].data, [2.0 * (1.0 - 0.0005)], rtol=1e-6)
 
 
@@ -53,30 +54,31 @@ def test_two_steps_match_reference_formula():
     grads = [rng.normal(size=(4,)).astype(np.float32) for _ in range(2)]
     p = {"w": _param(theta.copy())}
     state = init_adamw(p)
-    cfg = AdamWConfig(learning_rate=0.005, weight_decay=0.05)
+    cfg = AdamWConfig(weight_decay=0.05)
+    lr = 0.005
     for g in grads:
         p["w"].grad = g.copy()
-        adamw_step(p, state, cfg)
+        adamw_step(p, state, cfg, lr=lr)
         p["w"].grad = None
     # reference: plain numpy transcription
     m = np.zeros(4)
     v = np.zeros(4)
     ref = theta.astype(np.float64)
     for t, g in enumerate(grads, start=1):
-        ref *= 1.0 - cfg.learning_rate * cfg.weight_decay
+        ref *= 1.0 - lr * cfg.weight_decay
         m = cfg.beta1 * m + (1 - cfg.beta1) * g
         v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
         mhat = m / (1 - cfg.beta1**t)
         vhat = v / (1 - cfg.beta2**t)
-        ref -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.eps)
+        ref -= lr * mhat / (np.sqrt(vhat) + cfg.eps)
     np.testing.assert_allclose(p["w"].data, ref, rtol=1e-5)
 
 
-def test_lr_override_beats_config():
+def test_step_runs_at_the_given_lr():
     p = {"w": _param([1.0])}
     p["w"].grad = np.zeros(1, dtype=np.float32)
     state = init_adamw(p)
-    adamw_step(p, state, AdamWConfig(learning_rate=0.005, weight_decay=0.5), lr=0.1)
+    adamw_step(p, state, AdamWConfig(weight_decay=0.5), lr=0.1)
     np.testing.assert_allclose(p["w"].data, [1.0 - 0.05], rtol=1e-6)
 
 
@@ -86,7 +88,7 @@ def _stepped_once(names):
     for t in p.values():
         t.grad = np.array([0.5, -0.25], dtype=np.float32)
     state = init_adamw(p)
-    adamw_step(p, state, AdamWConfig())
+    adamw_step(p, state, AdamWConfig(), lr=0.005)
     return p, state
 
 
@@ -113,7 +115,7 @@ def test_missing_grad_is_an_error():
     p["w"].grad = None
     before = _snapshot(p, state)
     with pytest.raises(ContractError, match="'w'"):
-        adamw_step(p, state, AdamWConfig())
+        adamw_step(p, state, AdamWConfig(), lr=0.005)
     # "a" precedes "w" and has a gradient, yet nothing was stepped
     _assert_unchanged(p, state, before)
 
@@ -123,7 +125,7 @@ def test_nonfinite_grad_names_the_parameter():
     p["bad.weight"].grad = np.array([np.nan, 1.0], dtype=np.float32)
     before = _snapshot(p, state)
     with pytest.raises(NumericsError, match="bad.weight"):
-        adamw_step(p, state, AdamWConfig())
+        adamw_step(p, state, AdamWConfig(), lr=0.005)
     _assert_unchanged(p, state, before)
 
 
@@ -132,14 +134,14 @@ def test_param_set_mismatch_detected():
     state = init_adamw(p)
     p["extra"] = _param([1.0])
     with pytest.raises(ContractError):
-        adamw_step(p, state, AdamWConfig())
+        adamw_step(p, state, AdamWConfig(), lr=0.005)
 
 
 def test_config_validation():
     with pytest.raises(ContractError):
         AdamWConfig(beta1=1.0).validate()
-    with pytest.raises(ContractError):
-        AdamWConfig(learning_rate=-1.0).validate()
+    with pytest.raises(ContractError, match="learning_rate must be positive"):
+        RunConfig(patch_size=(32, 32), num_classes=2, learning_rate=-1.0).validate()
     AdamWConfig().validate()
 
 
@@ -275,7 +277,7 @@ def test_loss_gradient_through_softmax_is_finite_and_descends():
     with Graph() as g:
         probs = softmax(logits, axis=1)
         loss = dice_ce_loss(probs, target, LossConfig())
-    backward(loss, g)
+    g.backward(loss)
     assert np.isfinite(logits.grad).all()
     stepped = logits.data - 0.5 * logits.grad
     with Graph() as g2:

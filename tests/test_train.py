@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import xlunet
 import xlunet.train as train
 from xlunet.data import XtenError, generate_dataset, load_case, load_dataset
 from xlunet.metrics import dice_coefficient, evaluate_case
@@ -129,6 +129,15 @@ def test_invalid_values_rejected():
         _tiny_cfg(force_foreground_prob=1.5).validate()
     with pytest.raises(ContractError):
         _tiny_cfg(early_stop_dice=0.0).validate()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("heads", 0), ("heads", -4), ("expansion", 0), ("conv_width", 0), ("seed", -1)],
+)
+def test_bad_sequence_block_settings_named(key, value):
+    with pytest.raises(ContractError, match=f"^{key} must be"):
+        run_config_from_dict({"patch_size": [32, 32], "num_classes": 2, key: value})
 
 
 def test_bad_json_is_contract_error(tmp_path):
@@ -306,6 +315,57 @@ def test_resumed_log_equals_uninterrupted(dataset, tmp_path, monkeypatch, at_ste
     run_training(cfg, dataset, tmp_path / "b", resume_from=tmp_path / "b" / "checkpoints" / "latest")
     assert len(_logged(tmp_path / "a")) == 13
     assert _logged(tmp_path / "b") == _logged(tmp_path / "a")
+
+
+def test_sigkilled_run_resumes_to_the_uninterrupted_run(dataset, tmp_path, child_env):
+    # Python hands a text file's rows to the OS about every 8 KiB (every
+    # block, where a block is larger) and a row is ~29 bytes: an epoch of
+    # 1.5 blocks of rows flushes some before the epoch's checkpoint
+    block = max(8192, os.stat(tmp_path).st_blksize)
+    cfg = _tiny_cfg(
+        patch_size=(8, 8), num_stages=1, batch_size=1, steps_per_epoch=int(1.5 * block / 29)
+    )
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+
+    def train_cli(out, *args):
+        return subprocess.Popen(
+            [sys.executable, "-m", "xlunet.cli", "train", "--data", str(dataset),
+             "--out", str(tmp_path / out), *args],
+            env=child_env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+
+    log = tmp_path / "b" / "train_log.csv"
+    latest = tmp_path / "b" / "checkpoints" / "latest"
+
+    def logged_past_checkpoint() -> bool:
+        try:
+            step = json.loads((latest / "manifest.json").read_text())["global_step"]
+            rows = log.read_text().splitlines(keepends=True)[1:]
+        except FileNotFoundError:  # no checkpoint yet
+            return False
+        return any(row.endswith("\n") and int(row.split(",", 1)[0]) > step for row in rows)
+
+    # the uninterrupted run goes alongside the killed one
+    with train_cli("a", "--config", str(cfg_path)) as reference:
+        with train_cli("b", "--config", str(cfg_path)) as killed:
+            while killed.poll() is None and not logged_past_checkpoint():
+                time.sleep(0.005)
+            killed.kill()
+        assert logged_past_checkpoint(), "the run ended before its log held a step past a checkpoint"
+        with train_cli("b", "--resume", str(latest)) as resumed:
+            _, err = resumed.communicate(timeout=60)
+        assert resumed.returncode == 0, err
+        _, err = reference.communicate(timeout=60)
+    assert reference.returncode == 0, err
+    assert _logged(tmp_path / "b") == _logged(tmp_path / "a")
+    assert len(_logged(tmp_path / "a")) == 1 + cfg.max_epochs * cfg.steps_per_epoch
+    for sub in ("best", "latest"):
+        want, got = (tmp_path / run / "checkpoints" / sub for run in "ab")
+        names = sorted(p.name for p in want.iterdir())
+        assert sorted(p.name for p in got.iterdir()) == names
+        for name in names:
+            assert (got / name).read_bytes() == (want / name).read_bytes(), f"{sub}/{name}"
 
 
 def test_checkpoint_is_a_manifest_and_one_state_file(dataset, tmp_path, monkeypatch):
@@ -642,17 +702,16 @@ print(json.dumps({"scipy_before_eval": before, "ndimage_after_eval": "scipy.ndim
 """
 
 
-def test_train_predict_and_gradcheck_load_no_scipy(dataset, tmp_path):
+def test_train_predict_and_gradcheck_load_no_scipy(dataset, tmp_path, child_env):
     # a fresh interpreter, so that nothing this test process imported counts
     rng = np.random.default_rng(11)
     pred = rng.integers(0, 3, size=(12, 10)).astype(np.int32)
     gt = rng.integers(0, 3, size=(12, 10)).astype(np.int32)
     np.save(tmp_path / "pred.npy", pred)
     np.save(tmp_path / "gt.npy", gt)
-    env = dict(os.environ, PYTHONPATH=str(Path(xlunet.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_ONLY_PATHS, str(dataset), str(tmp_path)],
-        env=env, capture_output=True, text=True, check=False,
+        env=child_env, capture_output=True, text=True, check=False,
     )
     assert proc.returncode == 0, proc.stderr
     child = json.loads(proc.stdout.strip().splitlines()[-1])

@@ -121,7 +121,7 @@ def test_reverse_equals_flip_forward_flip(rng):
             t.grad = None
         with T.Graph() as g:
             loss = T.reduce_sum(T.mul(block(xt, p), wt))
-        T.backward(loss, g)
+        g.backward(loss)
         return [xt.grad] + [t.grad for _, t in p.tensors()]
 
     for got, want in zip(run(xlstm_block), run(_vil_pair), strict=True):
@@ -220,7 +220,7 @@ def test_quadratic_form_keeps_few_full_arrays_for_backward(rng):
     finally:
         tracemalloc.stop()
     assert live / full < 4, f"{live / full:.2f} full (B, H, L, L) arrays live before backward"
-    T.backward(loss, g)
+    g.backward(loss)
     assert np.isfinite(seq.grad).all()
 
 
@@ -265,7 +265,7 @@ def test_repeated_steps_take_no_page_faults(rng):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         with T.Graph() as g:
             loss = T.reduce_sum(mlstm_sequence(seq, p))
-        T.backward(loss, g)
+        g.backward(loss)
         for t in [seq] + [t for _, t in p.tensors()]:
             t.grad = None
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
@@ -313,7 +313,7 @@ def test_quadratic_form_computes_no_subnormals_and_unchanged_values(rng, monkeyp
         with T.Graph() as g:
             out = mlstm_sequence(seq, p)
             loss = T.reduce_sum(out)
-        T.backward(loss, g)
+        g.backward(loss)
         return [out.data, seq.grad] + [t.grad for _, t in p.tensors()]
 
     monkeypatch.setattr(T, "record", spy)
@@ -338,7 +338,7 @@ def test_vil_block_preserves_shape_and_grads_flow(rng):
     with T.Graph() as g:
         out = vil_block(seq, p)
         loss = T.reduce_sum(T.mul(out, out))
-    T.backward(loss, g)
+    g.backward(loss)
     assert out.shape == (2, 7, 6)
     assert seq.grad is not None and np.isfinite(seq.grad).all()
     for name, t in p.tensors():
