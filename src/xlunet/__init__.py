@@ -53,9 +53,6 @@ from .vil import (
     MlstmParams,
     VilBlockParams,
     XlstmBlockParams,
-    init_mlstm_params,
-    init_vil_params,
-    init_xlstm_params,
     mlstm_sequence,
     vil_block,
     volume_to_sequence,

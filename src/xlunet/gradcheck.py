@@ -44,9 +44,9 @@ from .nnops import (
 )
 from .tensor import ContractError, Graph, Tensor
 from .vil import (
-    init_mlstm_params,
-    init_vil_params,
-    init_xlstm_params,
+    MlstmParams,
+    VilBlockParams,
+    XlstmBlockParams,
     mlstm_sequence,
     vil_block,
     xlstm_block,
@@ -393,25 +393,25 @@ _CHECKS = (
     OpCheck("softmax", "nnops", _op(lambda x: softmax(x, axis=1), (2, 4, 3))),
     OpCheck(
         "mlstm_sequence", "vil",
-        _block(lambda r: init_mlstm_params(r, 8, 2, dtype=np.float64),
+        _block(lambda r: MlstmParams(r, 8, 2, np.float64),
                lambda *a: mlstm_sequence(*a), (2, 5, 8)),
         max_per_input=4,
     ),
     OpCheck(
         "vil_block_forward", "vil",
-        _block(lambda r: init_vil_params(r, 6, 3, dtype=np.float64),
+        _block(lambda r: VilBlockParams(r, 6, 3, 2, 4, np.float64),
                lambda *a: vil_block(*a), (2, 5, 6)),
         max_per_input=4,
     ),
     OpCheck(
         "vil_block_reverse", "vil",
-        _block(lambda r: init_vil_params(r, 6, 3, dtype=np.float64),
+        _block(lambda r: VilBlockParams(r, 6, 3, 2, 4, np.float64),
                _reversed_vil, (2, 5, 6)),
         max_per_input=4,
     ),
     OpCheck(
         "xlstm_block", "vil",
-        _block(lambda r: init_xlstm_params(r, 4, 2, dtype=np.float64),
+        _block(lambda r: XlstmBlockParams(r, 4, 2, 2, 4, np.float64),
                lambda *a: xlstm_block(*a), (2, 4, 2, 4)),
         max_per_input=3,
     ),
@@ -431,6 +431,8 @@ _CHECKS = (
 
 def run_checks(module: str | None = None, seed: int = 0) -> list[CheckResult]:
     """Run the battery (optionally one module's checks), seeded."""
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     selected = [c for c in _CHECKS if module is None or c.module == module]
     if not selected:
         modules = list(dict.fromkeys(c.module for c in _CHECKS))

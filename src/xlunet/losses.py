@@ -42,7 +42,8 @@ class LossConfig:
                 raise ContractError(
                     f"class_weights needs {num_classes} entries, got {len(self.class_weights)}"
                 )
-            if any(w < 0 for w in self.class_weights) or sum(self.class_weights) <= 0:
+            # NaN fails too
+            if not (all(w >= 0 for w in self.class_weights) and sum(self.class_weights) > 0):
                 raise ContractError("class_weights must be non-negative with a positive sum")
 
 

@@ -149,7 +149,7 @@ def _surface_distances(pred, gt, name: str):
 
 
 def _nsd(pred, gt, distances, tolerance: float) -> float:
-    if tolerance < 0:
+    if not tolerance >= 0:  # NaN fails too
         raise ContractError(f"surface_dice: tolerance must be >= 0, got {tolerance}")
     if distances is None:
         return 1.0 if not np.any(pred) and not np.any(gt) else 0.0

@@ -36,7 +36,7 @@ import numpy as np
 from . import tensor as T
 from .nnops import conv_nd, conv_transpose_nd, instance_norm, softmax
 from .tensor import ContractError, NumericsError, Tensor
-from .vil import _Params, _uniform, init_xlstm_params, xlstm_block
+from .vil import XlstmBlockParams, _constant, _Params, _uniform, xlstm_block
 
 __all__ = [
     "NetworkConfig",
@@ -131,7 +131,7 @@ class _Conv(_Params):
 
     def __init__(self, rng, in_ch, out_ch, kernel, stride, padding, bias=True):
         self.w = _uniform(rng, (out_ch, in_ch) + kernel, in_ch * int(np.prod(kernel)), np.float32)
-        self.b = Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True) if bias else None
+        self.b = _constant(0.0, out_ch, np.float32) if bias else None
         self.stride, self.padding = stride, padding
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -143,7 +143,7 @@ class _UpConv(_Params):
 
     def __init__(self, rng, in_ch, out_ch, rank):
         self.w = _uniform(rng, (in_ch, out_ch) + (2,) * rank, in_ch * 2**rank, np.float32)
-        self.b = Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True)
+        self.b = _constant(0.0, out_ch, np.float32)
 
     def __call__(self, x: Tensor) -> Tensor:
         return conv_transpose_nd(x, self.w, self.b, stride=2, padding=0)
@@ -160,8 +160,7 @@ class _ResBlock(_Params):
     def __init__(self, rng, in_ch, out_ch, rank, stride=1):
         self.conv = _Conv(rng, in_ch, out_ch, (3,) * rank, stride, 1, bias=False)
         self.norm = _Group(
-            gamma=Tensor(np.ones(out_ch, dtype=np.float32), requires_grad=True),
-            beta=Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True),
+            gamma=_constant(1.0, out_ch, np.float32), beta=_constant(0.0, out_ch, np.float32)
         )
         self.skip = None
         if in_ch != out_ch or stride != 1:
@@ -201,7 +200,7 @@ class Network(_Params):
             return _Group(
                 res0=res(in_ch, out_ch, stride),
                 res1=res(out_ch, out_ch),
-                xlstm=init_xlstm_params(
+                xlstm=XlstmBlockParams(
                     rng, out_ch, config.heads, config.expansion, config.conv_width
                 ) if sequence else None,
             )

@@ -39,7 +39,7 @@ class AdamWConfig:
         for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not 0 <= b < 1:
                 raise ContractError(f"{name} must be in [0, 1), got {b}")
-        if self.eps <= 0:
+        if not self.eps > 0:  # NaN fails too
             raise ContractError(f"eps must be positive, got {self.eps}")
 
 
@@ -69,7 +69,7 @@ def adamw_step(
     gradients."""
     cfg.validate()
     lr = float(lr)
-    if lr < 0:
+    if not lr >= 0:  # NaN fails too
         raise ContractError(f"adamw_step: negative learning rate {lr}")
     if set(state.exp_avg) != set(params):
         raise ContractError("adamw_step: state was initialized for a different parameter set")

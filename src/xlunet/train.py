@@ -119,7 +119,7 @@ class RunConfig:
 
     def validate(self) -> None:
         self.network_config().validate()
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # NaN fails too
             raise ContractError(f"learning_rate must be positive, got {self.learning_rate}")
         self.adamw_config().validate()
         for name in ("batch_size", "max_epochs", "steps_per_epoch", "early_stop_interval"):
@@ -492,6 +492,7 @@ def run_training(
                 "augment": augment_rng.bit_generator.state,
             }
             with _one_state(net, opt_state):
+                # best/ first: a crash before latest/ redoes this epoch, which rewrites best/
                 if epoch_loss < best_loss:
                     best_loss = epoch_loss
                     save_checkpoint(

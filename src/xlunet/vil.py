@@ -37,7 +37,6 @@ the reversed order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,20 +53,27 @@ __all__ = [
     "xlstm_block",
     "volume_to_sequence",
     "sequence_to_volume",
-    "init_mlstm_params",
-    "init_vil_params",
-    "init_xlstm_params",
 ]
 
 # ---------------------------------------------------------------------------
 # parameter containers
 
 
+def _uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> Tensor:
+    """A weight drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in)): every linear and conv weight."""
+    bound = 1.0 / np.sqrt(fan_in)
+    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
+
+
+def _constant(value: float, size: int, dtype) -> Tensor:
+    """A vector holding ``value`` everywhere: every bias, gain and scale; draws nothing."""
+    return Tensor(np.full(size, value, dtype=dtype), requires_grad=True)
+
+
 class _Params:
-    """Base of every parameter container, from these dataclasses up to the
-    network: the order in which one assigns its attributes (a dataclass: its
-    field order) is its layout, the checkpoint's and the gradient battery's
-    input order."""
+    """Base of every parameter container, from the sequence blocks' sets up to
+    the network: the order in which one assigns its attributes is its layout,
+    the checkpoint's and the gradient battery's input order."""
 
     def tensors(self) -> list[tuple[str, Tensor]]:
         """Every Tensor attribute in assignment order, a nested container's
@@ -81,7 +87,6 @@ class _Params:
         return out
 
 
-@dataclass
 class MlstmParams(_Params):
     """Projections and gates for the matrix-memory recurrence.
 
@@ -90,114 +95,55 @@ class MlstmParams(_Params):
     Input/forget gates are scalar per head, the output gate is per channel.
     """
 
-    query_proj: Tensor  # (E, E)
-    key_proj: Tensor  # (E, E)
-    value_proj: Tensor  # (E, E)
-    input_gate_w: Tensor  # (E, H)
-    input_gate_b: Tensor  # (H,)
-    forget_gate_w: Tensor  # (E, H)
-    forget_gate_b: Tensor  # (H,)
-    out_gate_w: Tensor  # (E, E)
-    out_gate_b: Tensor  # (E,)
-    heads: int
+    def __init__(self, rng, embed_dim, heads, dtype=np.float32):
+        if embed_dim % heads != 0:
+            raise ContractError(f"embed dim {embed_dim} must be divisible by heads {heads}")
+        e, h = embed_dim, heads
+        self.query_proj = _uniform(rng, (e, e), e, dtype)
+        self.key_proj = _uniform(rng, (e, e), e, dtype)
+        self.value_proj = _uniform(rng, (e, e), e, dtype)
+        self.input_gate_w = _uniform(rng, (e, h), e, dtype)
+        self.input_gate_b = _constant(0.0, h, dtype)
+        self.forget_gate_w = _uniform(rng, (e, h), e, dtype)
+        # positive forget bias: sequences start with a mostly-open memory
+        self.forget_gate_b = _constant(1.0, h, dtype)
+        self.out_gate_w = _uniform(rng, (e, e), e, dtype)
+        self.out_gate_b = _constant(0.0, e, dtype)
+        self.heads = heads
 
     @property
     def embed_dim(self) -> int:
         return self.query_proj.shape[0]
 
 
-@dataclass
 class VilBlockParams(_Params):
     """One gated sequence block: pre-norm, up-projection split into a memory
     path (causal conv -> silu -> recurrence, with a learnable skip) and a
     silu gate, then down-projection with a residual."""
 
-    ln_gamma: Tensor  # (D,)
-    ln_beta: Tensor  # (D,)
-    up_proj: Tensor  # (D, 2E)
-    conv_kernel: Tensor  # (E, width)
-    conv_bias: Tensor  # (E,)
-    skip_scale: Tensor  # (E,)
-    down_proj: Tensor  # (E, D)
-    mlstm: MlstmParams  # last: the layout lists the cell after the block's own tensors
+    def __init__(self, rng, model_dim, heads, expansion, conv_width, dtype=np.float32):
+        d, e = model_dim, expansion * model_dim
+        self.ln_gamma = _constant(1.0, d, dtype)
+        self.ln_beta = _constant(0.0, d, dtype)
+        self.up_proj = _uniform(rng, (d, 2 * e), d, dtype)
+        self.conv_kernel = _uniform(rng, (e, conv_width), conv_width, dtype)
+        self.conv_bias = _constant(0.0, e, dtype)
+        mlstm = MlstmParams(rng, e, heads, dtype)
+        self.skip_scale = _constant(1.0, e, dtype)
+        self.down_proj = _uniform(rng, (e, d), e, dtype)
+        # drawn after conv_bias, assigned last: the layout lists the cell
+        # after the block's own tensors
+        self.mlstm = mlstm
 
 
-@dataclass
 class XlstmBlockParams(_Params):
     """Standalone entry norm plus a forward and a reverse vil block."""
 
-    pre_gamma: Tensor  # (C,)
-    pre_beta: Tensor  # (C,)
-    fwd: VilBlockParams
-    rev: VilBlockParams
-
-
-# ---------------------------------------------------------------------------
-# initialization
-
-
-def _uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> Tensor:
-    """A weight drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in)): every linear and conv weight."""
-    bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
-
-
-def init_mlstm_params(
-    rng: np.random.Generator, embed_dim: int, heads: int, dtype=np.float32
-) -> MlstmParams:
-    if embed_dim % heads != 0:
-        raise ContractError(f"embed dim {embed_dim} must be divisible by heads {heads}")
-    e, h = embed_dim, heads
-    return MlstmParams(
-        query_proj=_uniform(rng, (e, e), e, dtype),
-        key_proj=_uniform(rng, (e, e), e, dtype),
-        value_proj=_uniform(rng, (e, e), e, dtype),
-        input_gate_w=_uniform(rng, (e, h), e, dtype),
-        input_gate_b=Tensor(np.zeros(h, dtype=dtype), requires_grad=True),
-        forget_gate_w=_uniform(rng, (e, h), e, dtype),
-        # positive forget bias: sequences start with a mostly-open memory
-        forget_gate_b=Tensor(np.ones(h, dtype=dtype), requires_grad=True),
-        out_gate_w=_uniform(rng, (e, e), e, dtype),
-        out_gate_b=Tensor(np.zeros(e, dtype=dtype), requires_grad=True),
-        heads=heads,
-    )
-
-
-def init_vil_params(
-    rng: np.random.Generator,
-    model_dim: int,
-    heads: int = 4,
-    expansion: int = 2,
-    conv_width: int = 4,
-    dtype=np.float32,
-) -> VilBlockParams:
-    inner = expansion * model_dim
-    return VilBlockParams(  # keyword order is the rng's draw order
-        ln_gamma=Tensor(np.ones(model_dim, dtype=dtype), requires_grad=True),
-        ln_beta=Tensor(np.zeros(model_dim, dtype=dtype), requires_grad=True),
-        up_proj=_uniform(rng, (model_dim, 2 * inner), model_dim, dtype),
-        conv_kernel=_uniform(rng, (inner, conv_width), conv_width, dtype),
-        conv_bias=Tensor(np.zeros(inner, dtype=dtype), requires_grad=True),
-        mlstm=init_mlstm_params(rng, inner, heads, dtype),
-        skip_scale=Tensor(np.ones(inner, dtype=dtype), requires_grad=True),
-        down_proj=_uniform(rng, (inner, model_dim), inner, dtype),
-    )
-
-
-def init_xlstm_params(
-    rng: np.random.Generator,
-    channels: int,
-    heads: int = 4,
-    expansion: int = 2,
-    conv_width: int = 4,
-    dtype=np.float32,
-) -> XlstmBlockParams:
-    return XlstmBlockParams(
-        pre_gamma=Tensor(np.ones(channels, dtype=dtype), requires_grad=True),
-        pre_beta=Tensor(np.zeros(channels, dtype=dtype), requires_grad=True),
-        fwd=init_vil_params(rng, channels, heads, expansion, conv_width, dtype),
-        rev=init_vil_params(rng, channels, heads, expansion, conv_width, dtype),
-    )
+    def __init__(self, rng, channels, heads, expansion, conv_width, dtype=np.float32):
+        self.pre_gamma = _constant(1.0, channels, dtype)
+        self.pre_beta = _constant(0.0, channels, dtype)
+        self.fwd = VilBlockParams(rng, channels, heads, expansion, conv_width, dtype)
+        self.rev = VilBlockParams(rng, channels, heads, expansion, conv_width, dtype)
 
 
 # ---------------------------------------------------------------------------

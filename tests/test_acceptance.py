@@ -35,7 +35,7 @@ from xlunet.train import (
     restore_network,
     run_training,
 )
-from xlunet.vil import init_mlstm_params, mlstm_sequence
+from xlunet.vil import MlstmParams, mlstm_sequence
 
 from oracles import (
     dice_bf,
@@ -208,7 +208,7 @@ def test_criterion_6_mlstm_parallel_serial_duality_and_stability():
     """On (2,16,8) float64: the parallel form == the independent per-step
     scan within 1e-6; causality is bitwise; +-50 gate biases stay finite."""
     rng = np.random.default_rng(6)
-    p = init_mlstm_params(rng, 8, 2, dtype=np.float64)
+    p = MlstmParams(rng, 8, 2, np.float64)
     seq = rng.normal(size=(2, 16, 8))
 
     def serial(params):
@@ -224,7 +224,7 @@ def test_criterion_6_mlstm_parallel_serial_duality_and_stability():
     assert np.array_equal(par[:, :9], par2[:, :9])
 
     for shift in (50.0, -50.0):
-        ps = init_mlstm_params(np.random.default_rng(7), 8, 2, dtype=np.float64)
+        ps = MlstmParams(np.random.default_rng(7), 8, 2, np.float64)
         ps.forget_gate_b.data = ps.forget_gate_b.data + shift
         ps.input_gate_b.data = ps.input_gate_b.data - shift
         out = mlstm_sequence(Tensor(seq), ps).data

@@ -289,12 +289,18 @@ def test_manifest_without_config_exits_1(workspace, tmp_path, capsys):
     [
         (["train", "--config", "{cfg}", "--data", "{tmp}/data", "--out", "{tmp}/run"], "heads"),
         (["gen-data", "--out", "{tmp}/data", "--seed", "-1"], "seed"),
+        (["gradcheck", "--seed", "-1"], "seed"),
+        # NaN compares false with 0: the check is written so that it fails
+        (["eval", "--pred", "{tmp}/m", "--gt", "{tmp}/m", "--out", "{tmp}/s.jsonl", "--tau", "nan"],
+         "tolerance"),
     ],
-    ids=["train", "gen-data"],
+    ids=["train", "gen-data", "gradcheck", "eval-tau"],
 )
 def test_a_bad_setting_exits_1_naming_it(tmp_path, capsys, argv, key):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"patch_size": [32, 32], "num_classes": 3, "heads": 0}))
+    (tmp_path / "m").mkdir()
+    write_xten(tmp_path / "m" / "case_000.xten", np.eye(8, dtype=np.int32))
     assert main([a.format(cfg=cfg, tmp=tmp_path) for a in argv]) == 1
     assert f"{key} must be" in capsys.readouterr().err
 

@@ -145,6 +145,29 @@ def test_config_validation():
     AdamWConfig().validate()
 
 
+def _step_at_nan_lr():
+    p, state = _stepped_once(["w"])
+    adamw_step(p, state, AdamWConfig(), lr=math.nan)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (_step_at_nan_lr, "negative learning rate nan"),
+        (lambda: RunConfig(patch_size=(32, 32), num_classes=2, learning_rate=math.nan).validate(),
+         "learning_rate must be positive"),
+        (lambda: AdamWConfig(eps=math.nan).validate(), "eps must be positive"),
+        (lambda: LossConfig(class_weights=(math.nan, 1.0)).validate(2), "class_weights must be"),
+    ],
+    ids=["adamw_step_lr", "run_config_learning_rate", "adamw_eps", "class_weights"],
+)
+def test_a_nan_setting_is_rejected(call, message):
+    # each check is written so that NaN, which compares false with
+    # everything, fails it
+    with pytest.raises(ContractError, match=message):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # schedule
 

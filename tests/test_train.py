@@ -230,6 +230,11 @@ def test_interrupted_resume_is_bit_exact(dataset, tmp_path):
     assert ma["global_step"] == mb["global_step"]
 
 
+def _checkpoint_files(run_dir):
+    ckpts = run_dir / "checkpoints"
+    return {str(f.relative_to(ckpts)): f.read_bytes() for f in sorted(ckpts.rglob("*")) if f.is_file()}
+
+
 def _assert_same_final_state(dir_a, dir_b):
     ma = load_checkpoint(dir_a / "checkpoints" / "latest")
     mb = load_checkpoint(dir_b / "checkpoints" / "latest")
@@ -243,7 +248,10 @@ def _assert_same_final_state(dir_a, dir_b):
 
 def test_crash_mid_save_resumes_bit_exact(dataset, tmp_path, monkeypatch):
     # the second `latest` save writes one whole file and then dies: the
-    # epoch-1 checkpoint must still resume into the uninterrupted run
+    # epoch-1 checkpoint must still resume into the uninterrupted run.  The
+    # improving epoch 2 has already saved `best/`, so the resume, which redoes
+    # epoch 2, must rewrite it: both directories end byte-equal to the
+    # uninterrupted run's
     cfg = _tiny_cfg(max_epochs=3, augment_mirror=True)
     run_training(cfg, dataset, tmp_path / "a")
 
@@ -267,10 +275,14 @@ def test_crash_mid_save_resumes_bit_exact(dataset, tmp_path, monkeypatch):
     with pytest.raises(Crash):
         run_training(cfg, dataset, tmp_path / "b")
     monkeypatch.undo()
+    assert saves == ["best", "latest", "best", "latest"]
     latest = tmp_path / "b" / "checkpoints" / "latest"
     assert load_checkpoint(latest)["epochs_completed"] == 1
     run_training(cfg, dataset, tmp_path / "b", resume_from=latest)
     _assert_same_final_state(tmp_path / "a", tmp_path / "b")
+    want = _checkpoint_files(tmp_path / "a")
+    assert {d.split("/")[0] for d in want} == {"best", "latest"}
+    assert want == _checkpoint_files(tmp_path / "b")
 
 
 def _logged(run_dir):
@@ -677,7 +689,7 @@ import json, sys
 from pathlib import Path
 import numpy as np
 import xlunet
-from xlunet import finite_diff_check, init_vil_params, vil_block
+from xlunet import VilBlockParams, finite_diff_check, vil_block
 from xlunet.data import load_case, load_dataset
 from xlunet.metrics import dice_coefficient, evaluate_case
 from xlunet.tensor import Tensor, reduce_sum
@@ -691,7 +703,7 @@ net, _ = restore_network(load_checkpoint(Path(out) / "checkpoints" / "latest"))
 image, _ = load_case(load_dataset(data), "case_000")
 assert predict_volume(net, image, tile=True).shape == (32, 32)
 rng = np.random.default_rng(0)
-params = init_vil_params(rng, model_dim=6, heads=3, dtype=np.float64)
+params = VilBlockParams(rng, model_dim=6, heads=3, expansion=2, conv_width=4, dtype=np.float64)
 seq = Tensor(rng.uniform(-1, 1, (2, 5, 6)), requires_grad=True)
 inputs = [seq] + [t for _, t in params.tensors()]
 assert finite_diff_check(lambda: reduce_sum(vil_block(seq, params)), inputs).passed

@@ -11,9 +11,9 @@ import xlunet.tensor as T
 from xlunet.nnops import layer_norm
 from xlunet.tensor import ContractError, Tensor
 from xlunet.vil import (
-    init_mlstm_params,
-    init_vil_params,
-    init_xlstm_params,
+    MlstmParams,
+    VilBlockParams,
+    XlstmBlockParams,
     mlstm_sequence,
     sequence_to_volume,
     vil_block,
@@ -25,7 +25,7 @@ from oracles import mlstm_loop
 
 
 def _params(rng, e=8, h=2, dtype=np.float64):
-    return init_mlstm_params(rng, e, h, dtype=dtype)
+    return MlstmParams(rng, e, h, dtype)
 
 
 def _loop(seq, p):
@@ -86,10 +86,14 @@ def test_dtype_mismatch_is_named_at_the_entry_point(rng, entry):
         fn, params, shape = mlstm_sequence, _params(rng), (2, 5, 8)
     elif entry == "vil_block":
         fn, shape = vil_block, (2, 5, 6)
-        params = init_vil_params(rng, model_dim=6, heads=3, dtype=np.float64)
+        params = VilBlockParams(
+            rng, model_dim=6, heads=3, expansion=2, conv_width=4, dtype=np.float64
+        )
     else:
         fn, shape = xlstm_block, (2, 4, 2, 3)
-        params = init_xlstm_params(rng, channels=4, heads=2, dtype=np.float64)
+        params = XlstmBlockParams(
+            rng, channels=4, heads=2, expansion=2, conv_width=4, dtype=np.float64
+        )
     x = Tensor(rng.normal(size=shape).astype(np.float32))
     with pytest.raises(ContractError, match=rf"^{entry}: input dtype float32 != params dtype float64"):
         fn(x, params)
@@ -111,7 +115,7 @@ def test_reverse_equals_flip_forward_flip(rng):
     # xlstm_block's reverse half is flip, block, flip in the gradient of the
     # input and of every weight too (test_reverse_vil_block_mirrors_forward
     # pins the output)
-    p = init_xlstm_params(rng, channels=6, heads=3, dtype=np.float64)
+    p = XlstmBlockParams(rng, channels=6, heads=3, expansion=2, conv_width=4, dtype=np.float64)
     x = rng.normal(size=(2, 6, 3, 3))
     wt = Tensor(rng.normal(size=x.shape))
 
@@ -142,7 +146,7 @@ def test_anticausality_of_reverse_direction(rng):
     # with its down projection zeroed the forward half is the identity
     # (test_vil_block_has_residual_path), so only the reverse half remains:
     # earlier raster positions must not affect later outputs
-    p = init_xlstm_params(rng, channels=6, heads=3, dtype=np.float64)
+    p = XlstmBlockParams(rng, channels=6, heads=3, expansion=2, conv_width=4, dtype=np.float64)
     p.fwd.down_proj.data = np.zeros_like(p.fwd.down_proj.data)
     x = rng.normal(size=(1, 6, 2, 5))
     out1 = xlstm_block(Tensor(x), p).data.reshape(1, 6, 10)
@@ -175,7 +179,52 @@ def test_single_timestep_sequence(rng):
 def test_embed_dim_head_divisibility():
     rng = np.random.default_rng(0)
     with pytest.raises(ContractError):
-        init_mlstm_params(rng, 9, 2)
+        MlstmParams(rng, 9, 2)
+
+
+def test_constructors_draw_in_the_documented_order():
+    # an independent generator on the same seed draws every weight by hand:
+    # per vil block up_proj, conv_kernel, the cell's six weights, down_proj;
+    # the forward block, then the reverse one.  The constant vectors draw
+    # nothing, so the two generators end in the same state.
+    c, heads, expansion, width = 4, 2, 2, 3
+    e = expansion * c
+    rng = np.random.default_rng(29)
+    p = XlstmBlockParams(rng, c, heads, expansion, width, np.float64)
+    oracle = np.random.default_rng(29)
+
+    def draw(shape, fan_in):
+        bound = 1.0 / np.sqrt(fan_in)
+        return oracle.uniform(-bound, bound, size=shape)
+
+    got = dict(p.tensors())
+    want = {}
+    for block in ("fwd", "rev"):
+        want[f"{block}.up_proj"] = draw((c, 2 * e), c)
+        want[f"{block}.conv_kernel"] = draw((e, width), width)
+        for name, cols in (("query_proj", e), ("key_proj", e), ("value_proj", e),
+                           ("input_gate_w", heads), ("forget_gate_w", heads), ("out_gate_w", e)):
+            want[f"{block}.mlstm.{name}"] = draw((e, cols), e)
+        want[f"{block}.down_proj"] = draw((e, c), e)
+    assert rng.random() == oracle.random()
+    for name, w in want.items():
+        assert got[name].data.dtype == np.float64, name
+        assert got[name].data.tobytes() == w.tobytes(), name
+
+    constants = {"pre_gamma": (1.0, c), "pre_beta": (0.0, c)}
+    for block in ("fwd", "rev"):
+        constants.update({
+            f"{block}.ln_gamma": (1.0, c), f"{block}.ln_beta": (0.0, c),
+            f"{block}.conv_bias": (0.0, e), f"{block}.skip_scale": (1.0, e),
+            f"{block}.mlstm.input_gate_b": (0.0, heads),
+            f"{block}.mlstm.forget_gate_b": (1.0, heads),
+            f"{block}.mlstm.out_gate_b": (0.0, e),
+        })
+    assert set(want) | set(constants) == set(got)
+    for name, (value, size) in constants.items():
+        t = got[name]
+        assert t.requires_grad and t.data.dtype == np.float64, name
+        assert t.data.tobytes() == np.full(size, value).tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +382,7 @@ def test_quadratic_form_computes_no_subnormals_and_unchanged_values(rng, monkeyp
 
 
 def test_vil_block_preserves_shape_and_grads_flow(rng):
-    p = init_vil_params(rng, model_dim=6, heads=3, dtype=np.float64)
+    p = VilBlockParams(rng, model_dim=6, heads=3, expansion=2, conv_width=4, dtype=np.float64)
     seq = Tensor(rng.normal(size=(2, 7, 6)), requires_grad=True)
     with T.Graph() as g:
         out = vil_block(seq, p)
@@ -347,7 +396,7 @@ def test_vil_block_preserves_shape_and_grads_flow(rng):
 
 def test_vil_block_has_residual_path(rng):
     # zeroing the down projection leaves exactly the input (residual only)
-    p = init_vil_params(rng, model_dim=6, heads=3, dtype=np.float64)
+    p = VilBlockParams(rng, model_dim=6, heads=3, expansion=2, conv_width=4, dtype=np.float64)
     p.down_proj.data = np.zeros_like(p.down_proj.data)
     seq = rng.normal(size=(2, 5, 6))
     out = vil_block(Tensor(seq), p).data
@@ -357,13 +406,13 @@ def test_vil_block_has_residual_path(rng):
 def test_reverse_vil_block_mirrors_forward(rng):
     # xlstm_block is the forward block, then the reverse one as flip, block,
     # flip: bitwise its composition from public ops
-    p = init_xlstm_params(rng, channels=6, heads=3, dtype=np.float64)
+    p = XlstmBlockParams(rng, channels=6, heads=3, expansion=2, conv_width=4, dtype=np.float64)
     x = Tensor(rng.normal(size=(2, 6, 3, 5)))
     np.testing.assert_array_equal(xlstm_block(x, p).data, _vil_pair(x, p).data)
 
 
 def test_xlstm_block_shape_and_no_outer_residual(rng):
-    p = init_xlstm_params(rng, channels=4, heads=2, dtype=np.float64)
+    p = XlstmBlockParams(rng, channels=4, heads=2, expansion=2, conv_width=4, dtype=np.float64)
     x = Tensor(rng.normal(size=(2, 4, 3, 5)), requires_grad=True)
     out = xlstm_block(x, p)
     assert out.shape == x.shape
