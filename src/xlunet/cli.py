@@ -74,19 +74,16 @@ def _cmd_predict(args) -> int:
     in_path = Path(args.input)
     out_path = Path(args.out)
     if in_path.is_dir():
-        files = sorted(in_path.glob("*.xten"))
-        if not files:
+        pairs = [(f, out_path / f.name) for f in sorted(in_path.glob("*.xten"))]
+        if not pairs:
             raise ContractError(f"{in_path}: no .xten files to predict")
-        out_path.mkdir(parents=True, exist_ok=True)
-        for f in files:
-            labels = predict_volume(net, read_xten(f), tile=args.tile)
-            write_xten(out_path / f.name, labels)
-        print(f"wrote {len(files)} prediction(s) to {out_path}")
     else:
-        labels = predict_volume(net, read_xten(in_path), tile=args.tile)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        write_xten(out_path, labels)
-        print(f"wrote {out_path}")
+        pairs = [(in_path, out_path)]
+    for src, dst in pairs:
+        labels = predict_volume(net, read_xten(src), tile=args.tile)
+        dst.parent.mkdir(parents=True, exist_ok=True)
+        write_xten(dst, labels)
+    print(f"wrote {len(pairs)} prediction(s) to {out_path}")
     return 0
 
 

@@ -390,6 +390,10 @@ def sample_patch(
             f"sample_patch: image {image.shape} / label {label.shape} do not match"
             f" a {len(patch)}-d patch {patch}"
         )
+    if not 0.0 <= force_foreground_prob <= 1.0:  # NaN fails too
+        raise ContractError(
+            f"sample_patch: force_foreground_prob must be in [0, 1], got {force_foreground_prob}"
+        )
     image, label = _pad_to_patch(image, label, patch)
     sp = image.shape[1:]
     force = bool(rng.random() < force_foreground_prob)

@@ -187,7 +187,7 @@ class OpCheck:
 
 
 def _t(rng, shape, lo=-1.0, hi=1.0) -> Tensor:
-    return Tensor(rng.uniform(lo, hi, size=shape), requires_grad=True, dtype=np.float64)
+    return Tensor(rng.uniform(lo, hi, size=shape), requires_grad=True)
 
 
 def _weighted_sum(y: Tensor, w: Tensor) -> Tensor:
@@ -251,7 +251,7 @@ def _build_kinked(rng):
     # keep clear of the kinks at 0 and at the clamp floor 0.3
     raw = rng.uniform(0.1, 0.9, size=(5, 4))
     raw[raw < 0.45] -= 1.0  # in [-0.9, -0.55] or [0.45, 0.9]
-    a = Tensor(raw, requires_grad=True, dtype=np.float64)
+    a = Tensor(raw, requires_grad=True)
 
     def fn():
         y = T.add(T.leaky_relu(a), T.absolute(a))
@@ -320,7 +320,7 @@ def _build_end_to_end(rng):
     net = build_network(config)
     for p in net.params.values():
         p.data = p.data.astype(np.float64)
-    x = Tensor(rng.uniform(-1, 1, size=(1, 1, 16, 16)), dtype=np.float64)
+    x = Tensor(rng.uniform(-1, 1, size=(1, 1, 16, 16)))
     labels = rng.integers(0, 2, size=(1, 16, 16)).astype(np.int32)
 
     def fn():

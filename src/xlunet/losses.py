@@ -43,8 +43,8 @@ class LossConfig:
                     f"class_weights needs {num_classes} entries, got {len(self.class_weights)}"
                 )
             # NaN fails too
-            if not (all(w >= 0 for w in self.class_weights) and sum(self.class_weights) > 0):
-                raise ContractError("class_weights must be non-negative with a positive sum")
+            if not (all(0 <= w < np.inf for w in self.class_weights) and sum(self.class_weights) > 0):
+                raise ContractError("class_weights must be finite and >= 0 with a positive sum")
 
 
 def dice_ce_loss(probs: Tensor, target: np.ndarray, cfg: LossConfig | None = None) -> Tensor:
@@ -85,11 +85,10 @@ def dice_ce_loss(probs: Tensor, target: np.ndarray, cfg: LossConfig | None = Non
     dtype = probs.data.dtype
     onehot = np.zeros(probs.shape, dtype=dtype)
     np.put_along_axis(onehot, target[:, None].astype(np.int64), 1.0, axis=1)
-    onehot_t = Tensor(onehot)
 
     # soft Dice over batch-flattened sums: one ratio per class
     reduce_axes = (0,) + tuple(range(2, probs.ndim))
-    intersect = T.reduce_sum(T.mul(probs, onehot_t), axis=reduce_axes)  # (K,)
+    intersect = T.reduce_sum(T.mul(probs, Tensor(onehot)), axis=reduce_axes)  # (K,)
     pred_sum = T.reduce_sum(probs, axis=reduce_axes)
     target_sum = Tensor(onehot.sum(axis=reduce_axes))
     dice = T.div(
@@ -101,19 +100,15 @@ def dice_ce_loss(probs: Tensor, target: np.ndarray, cfg: LossConfig | None = Non
     dice_loss = T.sub(1.0, T.reduce_mean(dice))
 
     # cross-entropy from clamped probabilities
+    # unit weights are exact: onehot * 1 is onehot; float32 sums of ones are exact below 2**24
     logp = T.log(T.max_with_scalar(probs, _PROB_FLOOR))
-    if cfg.class_weights is not None:
-        weights = np.asarray(cfg.class_weights, dtype=dtype)
-        voxel_w = weights[target]  # (B, *sp)
-        weighted = onehot * voxel_w[:, None]
-        total_w = float(voxel_w.sum())
-        if total_w <= 0:
-            raise ContractError("dice_ce_loss: class weights zero out every voxel in this batch")
-        picked = T.reduce_sum(T.mul(logp, Tensor(weighted)))
-        ce = T.mul(picked, -1.0 / total_w)
-    else:
-        picked = T.reduce_sum(T.mul(logp, onehot_t))
-        ce = T.mul(picked, -1.0 / float(target.size))
+    weights = np.asarray(cfg.class_weights or (1.0,) * k, dtype=dtype)
+    voxel_w = weights[target]  # (B, *sp)
+    total_w = float(voxel_w.sum())
+    if total_w <= 0:
+        raise ContractError("dice_ce_loss: class weights zero out every voxel in this batch")
+    picked = T.reduce_sum(T.mul(logp, Tensor(onehot * voxel_w[:, None])))
+    ce = T.mul(picked, -1.0 / total_w)
 
     loss = T.add(dice_loss, ce)
     if not np.isfinite(loss.data).all():

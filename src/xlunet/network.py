@@ -52,13 +52,13 @@ _VARIANTS = ("bot", "enc")
 class NetworkConfig:
     """Static shape/capacity description of one network."""
 
-    in_channels: int
-    num_classes: int
     patch_size: tuple[int, ...]
+    num_classes: int
+    in_channels: int = 1
+    variant: str = "enc"
     num_stages: int = 4
     base_channels: int = 8
     channel_cap: int = 64
-    variant: str = "enc"
     heads: int = 4
     expansion: int = 2
     conv_width: int = 4

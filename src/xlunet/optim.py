@@ -39,8 +39,8 @@ class AdamWConfig:
         for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not 0 <= b < 1:
                 raise ContractError(f"{name} must be in [0, 1), got {b}")
-        if not self.eps > 0:  # NaN fails too
-            raise ContractError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < np.inf:  # NaN fails too
+            raise ContractError(f"eps must be positive and finite, got {self.eps}")
 
 
 @dataclass
@@ -69,8 +69,8 @@ def adamw_step(
     gradients."""
     cfg.validate()
     lr = float(lr)
-    if not lr >= 0:  # NaN fails too
-        raise ContractError(f"adamw_step: negative learning rate {lr}")
+    if not 0 <= lr < np.inf:  # NaN fails too
+        raise ContractError(f"adamw_step: lr must be non-negative and finite, got {lr}")
     if set(state.exp_avg) != set(params):
         raise ContractError("adamw_step: state was initialized for a different parameter set")
     # every gradient is checked before anything changes, so an error leaves

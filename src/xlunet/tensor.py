@@ -246,26 +246,20 @@ class Tensor:
 
     ``data`` is the raw ndarray (shared, never copied defensively), ``grad``
     is ``None`` until a backward pass deposits an ndarray of the same shape.
-    Python floats/ints passed as ``data`` default to float32/int32.
+    A tensor keeps its array's dtype: ``data`` is an ndarray, or a numpy
+    scalar taken as a 0-d array; anything else, a Python number or list
+    included, is a ``ContractError`` naming its type.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_token")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if type(data) is np.ndarray and dtype is None:
-            arr = data  # what every op hands over: np.asarray would return it
+    def __init__(self, data, requires_grad: bool = False):
+        if type(data) is np.ndarray:
+            arr = data  # what every op hands over
+        elif isinstance(data, (np.ndarray, np.generic)):
+            arr = np.asarray(data)
         else:
-            if isinstance(data, Tensor):
-                raise ContractError("Tensor(data): wrap raw arrays, not another Tensor")
-            arr = np.asarray(data, dtype=dtype)
-            if dtype is None and not isinstance(data, (np.ndarray, np.generic)):
-                # python scalars / lists arrive as float64 / int64; keep the
-                # package's working precision instead.  numpy arrays *and*
-                # numpy scalars carry an explicit dtype and keep it.
-                if arr.dtype == np.float64:
-                    arr = arr.astype(np.float32)
-                elif arr.dtype == np.int64:
-                    arr = arr.astype(np.int32)
+            raise ContractError(f"Tensor(data): expected an ndarray, got {type(data).__name__}")
         if arr.dtype not in _SUPPORTED_DTYPES:
             raise ContractError(
                 f"unsupported dtype {arr.dtype}; supported: float32, float64, int32, uint8"

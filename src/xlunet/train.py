@@ -84,17 +84,9 @@ _CKPT_FORMAT = "xlunet-checkpoint-v2"
 
 
 @dataclass
-class RunConfig:
-    patch_size: tuple[int, ...]
-    num_classes: int
-    in_channels: int = 1
-    variant: str = "enc"
-    num_stages: int = 4
-    base_channels: int = 8
-    channel_cap: int = 64
-    heads: int = 4
-    expansion: int = 2
-    conv_width: int = 4
+class RunConfig(NetworkConfig):
+    """A training run: the network's keys (``NetworkConfig``'s) and these."""
+
     batch_size: int = 4
     max_epochs: int = 100
     steps_per_epoch: int = 10
@@ -110,17 +102,16 @@ class RunConfig:
     class_weights: tuple[float, ...] | None = None
     early_stop_dice: float | None = None
     early_stop_interval: int = 10
-    seed: int = 0
 
     def __post_init__(self):
-        self.patch_size = tuple(int(p) for p in self.patch_size)
+        super().__post_init__()
         if self.class_weights is not None:
             self.class_weights = tuple(float(w) for w in self.class_weights)
 
     def validate(self) -> None:
-        self.network_config().validate()
-        if not self.learning_rate > 0:  # NaN fails too
-            raise ContractError(f"learning_rate must be positive, got {self.learning_rate}")
+        super().validate()
+        if not 0 < self.learning_rate < np.inf:  # NaN fails too
+            raise ContractError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         self.adamw_config().validate()
         for name in ("batch_size", "max_epochs", "steps_per_epoch", "early_stop_interval"):
             if getattr(self, name) < 1:
@@ -199,10 +190,12 @@ _LOG_HEADER = "step,epoch,lr,loss,seconds\n"
 
 
 def _keep_logged_steps(log_path: Path, global_step: int) -> None:
-    """Cut ``log_path`` back to its header and the rows of steps up to
-    ``global_step``, the resumed checkpoint's: an interrupted epoch's rows,
+    """Start every run's log: cut ``log_path`` back to its header and the
+    rows of steps up to ``global_step``, the resumed checkpoint's (0 for a
+    fresh run, which never reads the old file): an interrupted epoch's rows,
     and a torn last row (no newline), go.  A missing log starts afresh."""
-    rows = log_path.read_text().splitlines(keepends=True)[1:] if log_path.exists() else []
+    old = log_path.read_text() if global_step and log_path.exists() else ""
+    rows = old.splitlines(keepends=True)[1:]
 
     def held(row: str) -> bool:
         step = row.split(",", 1)[0]
@@ -417,13 +410,12 @@ def run_training(
     log_path = out_dir / "train_log.csv"
     if resume_from is not None:
         manifest = load_checkpoint(resume_from)
-        stored_cfg = run_config_from_dict(manifest["config"])
+        net, stored_cfg, opt_state = _restore(manifest)
         if stored_cfg != cfg:
             raise ContractError(
                 "resume: run config does not match the checkpoint's"
                 " (omit --config or pass the identical file)"
             )
-        net, _, opt_state = _restore(manifest)
         try:
             sampling_rng.bit_generator.state = manifest["rng"]["sampling"]
             augment_rng.bit_generator.state = manifest["rng"]["augment"]
@@ -434,20 +426,16 @@ def run_training(
         start_epoch = int(manifest["epochs_completed"])
         global_step = int(manifest["global_step"])
         best_loss = float(manifest["best_loss"])
-        log_mode = "a"
-        _keep_logged_steps(log_path, global_step)
     else:
         net = build_network(cfg.network_config())
         opt_state = init_adamw(net.params)
         start_epoch = 0
         global_step = 0
         best_loss = float("inf")
-        log_mode = "w"
 
     epoch_loss = float("nan")
-    with open(log_path, log_mode) as log_file:
-        if log_mode == "w":
-            log_file.write(_LOG_HEADER)
+    _keep_logged_steps(log_path, global_step)
+    with open(log_path, "a") as log_file:
         for epoch in range(start_epoch, cfg.max_epochs):
             lr = lr_schedule(epoch, cfg.learning_rate, cfg.max_epochs, cfg.schedule)
             losses = []

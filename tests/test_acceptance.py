@@ -6,7 +6,6 @@ contract.  The overfit runs (criterion 3) are the slowest part at roughly a
 minute combined; everything else is seconds.
 """
 
-import filecmp
 import json
 import time
 from pathlib import Path
@@ -14,7 +13,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import xlunet.tensor as T
 from xlunet.cli import main
 from xlunet.data import (
     XtenBadDtype,

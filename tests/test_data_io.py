@@ -1,5 +1,6 @@
 """Tensor file format, synthetic data generator, patch sampler."""
 
+import math
 import struct
 
 import numpy as np
@@ -401,3 +402,6 @@ def test_sampler_validates(rng):
         sample_patch(img, lab[None], (4, 4), rng)
     with pytest.raises(ContractError):
         sample_patch(img, lab, (0, 4), rng)
+    for prob in (1.5, -0.5, math.nan):
+        with pytest.raises(ContractError, match="force_foreground_prob"):
+            sample_patch(img, lab, (4, 4), rng, prob)

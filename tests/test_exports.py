@@ -39,7 +39,8 @@ def test_package_reexports_only_public_names():
     assert not stray, f"xlunet re-exports names no module declares public: {stray}"
 
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _chain(node):
@@ -104,3 +105,31 @@ def test_every_name_the_benchmark_reaches_resolves():
     assert not stray, f"perfbench/spans.py opens spans on unwrapped {stray}"
     assert hasattr(xlunet.metrics, "ndimage")
     assert callable(xlunet.tensor.record)
+
+
+def _unread_imports(path):
+    """The names ``path`` imports and never reads: no name load, and not in
+    ``__all__``; every import of ``xlunet/__init__.py`` is a re-export."""
+    if path == ROOT / "src" / "xlunet" / "__init__.py":
+        return []
+    tree = ast.parse(path.read_text())
+    imported = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+            read.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # no linter runs with the suite, so an import left behind by an edit
+    # would otherwise go unseen
+    paths = sorted((ROOT / "src" / "xlunet").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unread = {str(p.relative_to(ROOT)): names for p in paths if (names := _unread_imports(p))}
+    assert not unread, f"imported and never read: {unread}"

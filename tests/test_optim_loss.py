@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import xlunet.tensor as T
 from xlunet.losses import LossConfig, dice_ce_loss
 from xlunet.nnops import softmax
 from xlunet.optim import (
@@ -145,25 +144,35 @@ def test_config_validation():
     AdamWConfig().validate()
 
 
-def _step_at_nan_lr():
+def _step_at_lr(lr):
     p, state = _stepped_once(["w"])
-    adamw_step(p, state, AdamWConfig(), lr=math.nan)
+    adamw_step(p, state, AdamWConfig(), lr=lr)
+
+
+def _run_config_at_lr(lr):
+    RunConfig(patch_size=(32, 32), num_classes=2, learning_rate=lr).validate()
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        (_step_at_nan_lr, "negative learning rate nan"),
-        (lambda: RunConfig(patch_size=(32, 32), num_classes=2, learning_rate=math.nan).validate(),
-         "learning_rate must be positive"),
+        (lambda: _step_at_lr(math.nan), "lr must be non-negative and finite, got nan"),
+        (lambda: _run_config_at_lr(math.nan), "learning_rate must be positive"),
         (lambda: AdamWConfig(eps=math.nan).validate(), "eps must be positive"),
         (lambda: LossConfig(class_weights=(math.nan, 1.0)).validate(2), "class_weights must be"),
+        (lambda: _step_at_lr(math.inf), "lr must be non-negative and finite, got inf"),
+        (lambda: _run_config_at_lr(math.inf), "learning_rate must be positive and finite"),
+        (lambda: AdamWConfig(eps=math.inf).validate(), "eps must be positive and finite"),
+        (lambda: LossConfig(class_weights=(math.inf, 1.0)).validate(2), "class_weights must be finite"),
     ],
-    ids=["adamw_step_lr", "run_config_learning_rate", "adamw_eps", "class_weights"],
+    ids=[
+        "adamw_step_lr", "run_config_learning_rate", "adamw_eps", "class_weights",
+        "adamw_step_lr_inf", "run_config_learning_rate_inf", "adamw_eps_inf", "class_weights_inf",
+    ],
 )
 def test_a_nan_setting_is_rejected(call, message):
     # each check is written so that NaN, which compares false with
-    # everything, fails it
+    # everything, fails it, and each bound excludes infinity
     with pytest.raises(ContractError, match=message):
         call()
 
@@ -256,6 +265,18 @@ def test_class_weights_reweight_ce():
     plain2 = dice_ce_loss(_probs(skew), target, LossConfig())
     weighted2 = dice_ce_loss(_probs(skew), target, LossConfig(class_weights=(1.0, 3.0)))
     assert weighted2.item() > plain2.item()
+    # unit weights are no weights, bit for bit, in the loss and its gradient
+    rng = np.random.default_rng(0)
+    logits = Tensor(rng.normal(size=(2, 3, 6, 6)).astype(np.float32), requires_grad=True)
+    labels = rng.integers(0, 3, size=(2, 6, 6)).astype(np.int32)
+    runs = []
+    for weights in (None, (1.0, 1.0, 1.0)):
+        logits.grad = None
+        with Graph() as g:
+            loss = dice_ce_loss(softmax(logits, axis=1), labels, LossConfig(class_weights=weights))
+        g.backward(loss)
+        runs.append((loss.data.tobytes(), logits.grad.tobytes()))
+    assert runs[0] == runs[1]
 
 
 def test_loss_decreases_toward_target():

@@ -20,10 +20,10 @@ from oracles import matmul_loops
 
 
 def test_python_scalars_become_float32_int32():
-    assert Tensor(1.5).dtype == np.float32
-    assert Tensor(3).dtype == np.int32
-    assert Tensor([1.0, 2.0]).dtype == np.float32
-    assert Tensor([[1, 2]]).dtype == np.int32
+    # a tensor keeps its array's dtype, and Python input has none to keep
+    for data, kind in ((1.5, "float"), (3, "int"), ([1.0, 2.0], "list")):
+        with pytest.raises(ContractError, match=f"got {kind}$"):
+            Tensor(data)
 
 
 def test_numpy_arrays_keep_dtype():
@@ -49,8 +49,8 @@ def test_requires_grad_needs_float():
 
 
 def test_wrapping_a_tensor_is_an_error():
-    with pytest.raises(ContractError):
-        Tensor(Tensor(1.0))
+    with pytest.raises(ContractError, match="got Tensor"):
+        Tensor(Tensor(np.zeros(2, dtype=np.float32)))
 
 
 def test_item_and_detach():

@@ -19,7 +19,7 @@ from xlunet.data import XtenError, generate_dataset, load_case, load_dataset
 from xlunet.metrics import dice_coefficient, evaluate_case
 from xlunet.network import build_network
 from xlunet.optim import init_adamw
-from xlunet.tensor import ContractError, Tensor
+from xlunet.tensor import ContractError
 from xlunet.train import (
     RunConfig,
     load_checkpoint,
@@ -66,6 +66,39 @@ def test_config_json_roundtrip(tmp_path):
     p.write_text(json.dumps(cfg.to_dict()))
     back = load_run_config(p)
     assert back == cfg
+
+
+def test_run_config_keys_and_defaults():
+    # the keys of a run-config file and their defaults; the network's are
+    # NetworkConfig's
+    assert sorted(RunConfig(patch_size=(32, 32), num_classes=2).to_dict().items()) == [
+        ("adam_eps", 1e-08),
+        ("augment_mirror", False),
+        ("base_channels", 8),
+        ("batch_size", 4),
+        ("beta1", 0.9),
+        ("beta2", 0.999),
+        ("channel_cap", 64),
+        ("class_weights", None),
+        ("conv_width", 4),
+        ("early_stop_dice", None),
+        ("early_stop_interval", 10),
+        ("expansion", 2),
+        ("force_foreground_prob", 0.5),
+        ("heads", 4),
+        ("in_channels", 1),
+        ("include_background_dice", False),
+        ("learning_rate", 0.005),
+        ("max_epochs", 100),
+        ("num_classes", 2),
+        ("num_stages", 4),
+        ("patch_size", [32, 32]),
+        ("schedule", "poly"),
+        ("seed", 0),
+        ("steps_per_epoch", 10),
+        ("variant", "enc"),
+        ("weight_decay", 0.05),
+    ]
 
 
 def test_unknown_keys_rejected():
@@ -326,6 +359,19 @@ def test_resumed_log_equals_uninterrupted(dataset, tmp_path, monkeypatch, at_ste
         f.write(torn)
     run_training(cfg, dataset, tmp_path / "b", resume_from=tmp_path / "b" / "checkpoints" / "latest")
     assert len(_logged(tmp_path / "a")) == 13
+    assert _logged(tmp_path / "b") == _logged(tmp_path / "a")
+
+
+@pytest.mark.parametrize("stale", ["another_run", "not_utf8"])
+def test_fresh_run_replaces_a_stale_log(dataset, tmp_path, stale):
+    cfg = _tiny_cfg(patch_size=(16, 16))
+    run_training(cfg, dataset, tmp_path / "a")
+    if stale == "another_run":  # a longer run, so its rows outnumber the new run's
+        run_training(_tiny_cfg(patch_size=(16, 16), max_epochs=3, seed=9), dataset, tmp_path / "b")
+    else:
+        (tmp_path / "b").mkdir()
+        (tmp_path / "b" / "train_log.csv").write_bytes(b"\xff\xfe\x00 not a log\n")
+    run_training(cfg, dataset, tmp_path / "b")
     assert _logged(tmp_path / "b") == _logged(tmp_path / "a")
 
 
