@@ -18,8 +18,9 @@ whole padded width of the last axis, ``k[-1] - 1`` columns past the
 output's: the last two axes of a tap are then one contiguous run of the
 input (288 floats at 16^3 instead of 16), which copies several times faster.
 The GEMMs compute those extra columns; the forward drops them when it writes
-its output, and the weight cotangent multiplies them by a ``g`` that is
-zero-padded across them, so neither an output nor the weights ever see them.
+its output, and a weight cotangent multiplies them by an array (the output
+cotangent, or the conv's input) that is zero-padded across them, so neither
+an output nor the weights ever see them.
 The last tap of the last row reads ``k[-1] - 1`` elements past the padded
 input: ``_window`` allocates that slack (a spare zero row), and an input that
 arrives without it is copied once.
@@ -32,15 +33,7 @@ holds to rounding error, with the *same* weight array: conv weights are
 Routes:
 
 * ``conv_nd`` forward: ``y[:, :, slab] = W @ patches(slab)``, on whole rows
-  at stride 1 and on the strided view otherwise.  Its weight cotangent
-  re-slabs the padded input kept by the forward and accumulates
-  ``gw.T += patches_b(slab) @ g_b[:, slab].T`` batch by batch, the
-  orientation that BLAS runs fastest on these shapes (about 2x the
-  ``g @ patches.T`` one).  A slab of one column folds the batch into the
-  contraction instead, and a batch of one makes that an outer product, so
-  no GEMM contracts over a single index.  So does
-  ``conv_transpose_nd``'s backward, whose cotangents come from the slabs of
-  g.
+  at stride 1 and on the strided view otherwise.
 * The adjoint (``conv_nd``'s input cotangent, ``conv_transpose_nd``'s
   forward) is ``_conv_t``, one phase rule for every geometry.  Conv output p
   reads input q = p*stride + off - padding through tap off, so q receives
@@ -52,6 +45,25 @@ Routes:
   one phase, the whole output, returned as the GEMM wrote it; a phase with
   no taps (kernel < stride) stays zero.  x gets no cotangent (``None``)
   without requires_grad.
+* Weight cotangents are accumulated as ``gw.T += patches_b(slab) @
+  g_b[:, slab].T`` batch by batch, the orientation that BLAS runs fastest on
+  these shapes (about 2x the ``g @ patches.T`` one).  A slab of one column
+  folds the batch into the contraction instead, and a batch of one makes
+  that an outer product, so no GEMM contracts over a single index.  Whose
+  patches they are depends on the route:
+
+  - ``conv_nd`` at stride 1, when x requires grad: the patches of g's
+    window, in the slab pass that computes x's cotangent.  Tap t' of g's
+    window meets x where tap ``k - 1 - t'`` of the conv meets the padded
+    input, so the result is the weight cotangent with its taps flipped and
+    its first two axes swapped; one copy undoes both.  The VJP keeps x, not
+    its padded copy, and makes one patch matrix, not two.
+  - ``conv_nd`` otherwise (strided convs, and the stem, whose image needs no
+    cotangent): the padded input, kept by the forward, re-slabbed in a pass
+    of its own.  A strided conv's adjoint runs one pass per phase, and
+    reading the weight cotangent off those phases was measured slower.
+  - ``conv_transpose_nd``'s backward: the patches of g's padded window, in
+    the slab pass that computes x's cotangent.
 """
 
 from __future__ import annotations
@@ -203,6 +215,10 @@ def _patch_gemm(xp, k, stride, out_sp, lhs=None, g=None):
     Returns ``(y, gw)``: ``y = lhs @ patches`` as (B, M, *out_sp) when
     ``lhs`` (M, C*K) is given, and ``gw = sum_b g_b @ patches_b.T`` as
     (N, C*K) when ``g`` (B, N, *out_sp) is given; the other is ``None``.
+    Given both, one slab pass computes both.  ``g`` is what the patches are
+    read against for a weight cotangent: the output cotangent when ``xp``
+    is the padded input, and the conv's input when ``xp`` is a window of
+    the output cotangent (see the module docstring).
     Whole-row patches (see ``_slabs``) have columns past each output row:
     ``y`` drops them, and ``g`` is zero-padded across them.  ``gw`` is
     accumulated transposed, ``cols_b @ g_b.T``, which BLAS runs faster than
@@ -246,10 +262,15 @@ def _patch_gemm(xp, k, stride, out_sp, lhs=None, g=None):
     return y, None if gwt is None else gwt.T
 
 
-def _conv_t(y: np.ndarray, w: np.ndarray, stride, padding, out_sp) -> np.ndarray:
+def _conv_t(y: np.ndarray, w: np.ndarray, stride, padding, out_sp, x=None):
     """Adjoint of ``conv_nd(., w, stride, padding)``: (B, w.shape[0], *sp) ->
     (B, w.shape[1], *out_sp), one stride-1 correlation per output phase (see
-    the module docstring)."""
+    the module docstring).
+
+    Returns ``(adjoint, gw)``.  Given the conv's input ``x`` (B, w.shape[1],
+    *out_sp), at stride 1 only, the slab pass over the patches of ``y`` also
+    yields the conv's weight cotangent for the output cotangent ``y``:
+    ``gw`` of ``w.shape``, C-contiguous, and ``None`` without ``x``."""
     k = w.shape[2:]
     lead = (slice(None), slice(None))
     flip = lead + (slice(None, None, -1),) * len(k)
@@ -272,11 +293,18 @@ def _conv_t(y: np.ndarray, w: np.ndarray, stride, padding, out_sp) -> np.ndarray
             continue
         taps = wt[lead + tap_sl][flip]
         lhs = taps.reshape(len(taps), -1)
-        part, _ = _patch_gemm(_window(y, start, size), taps.shape[2:], (1,) * len(k), n_q, lhs=lhs)
+        part, gwf = _patch_gemm(
+            _window(y, start, size), taps.shape[2:], (1,) * len(k), n_q, lhs=lhs, g=x
+        )
         if out is None:
-            return part
+            if gwf is None:
+                return part, None
+            # gwf.T is (O * prod(k), C) over y's flipped taps: reversing the
+            # flat tap axis unflips them, and one copy moves C second
+            gw = gwf.T.reshape(len(w), -1, w.shape[1])[:, ::-1].transpose(0, 2, 1)
+            return part, np.ascontiguousarray(gw).reshape(w.shape)
         out[lead + out_sl] = part
-    return out
+    return out, None
 
 
 def _check_conv_args(inputs: tuple, op: str, transpose: bool) -> tuple[int, int, int]:
@@ -324,11 +352,18 @@ def conv_nd(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1, padding=
         y += bias.data.reshape((1, cout) + (1,) * rank)
     out = Tensor(y)
     wd, x_grad, has_bias = w.data, x.requires_grad, bias is not None
+    # at stride 1, x's cotangent and the weights' share one slab pass over
+    # g's patches, which needs x itself; otherwise the weights' cotangent
+    # re-slabs the padded input
+    xd, xp = (x.data, None) if x_grad and max(stride) == 1 else (None, xp)
 
     def vjp(g):
-        _, gw = _patch_gemm(xp, k, stride, out_sp, g=g)
-        gw = gw.reshape(wd.shape)
-        gx = _conv_t(g, wd, stride, padding, sp) if x_grad else None
+        if xd is not None:
+            gx, gw = _conv_t(g, wd, stride, padding, sp, x=xd)
+        else:
+            _, gw = _patch_gemm(xp, k, stride, out_sp, g=g)
+            gw = gw.reshape(wd.shape)
+            gx = _conv_t(g, wd, stride, padding, sp)[0] if x_grad else None
         if not has_bias:
             return gx, gw
         return gx, gw, g.sum(axis=(0,) + tuple(range(2, 2 + rank)))
@@ -374,7 +409,7 @@ def conv_transpose_nd(
             f" kernel {k}, stride {stride}, padding {padding}"
         )
 
-    y = _conv_t(x.data, w.data, stride, padding, out_sp)
+    y, _ = _conv_t(x.data, w.data, stride, padding, out_sp)
     if bias is not None:
         y += bias.data.reshape((1, cout) + (1,) * rank)
     out = Tensor(y)

@@ -1,5 +1,7 @@
 import builtins
+import importlib
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,20 @@ settings.register_profile(
     derandomize=True,
 )
 settings.load_profile("ci")
+
+# Hypothesis writes a failing example's patch file from pytest's report hook,
+# and its first import of ``hypothesis.extra._patching`` there pulls in
+# libcst, which raises a third-party DeprecationWarning: under
+# pyproject.toml's ``error::DeprecationWarning`` that ends the session before
+# the falsifying example is printed.  Import it once here, with only that
+# category ignored.  libcst is optional: without it the import fails, and
+# there is no warning to keep out.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        importlib.import_module("hypothesis.extra._patching")
+    except ImportError:
+        pass
 
 
 @pytest.fixture

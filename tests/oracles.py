@@ -129,6 +129,34 @@ def conv_transpose_nd_loops(x, w, bias=None, stride=1, padding=0, output_size=No
     return out
 
 
+def conv_stride1_taps(x, w, g, padding):
+    """Stride-1 cross-correlation of x with w, with its input and weight
+    cotangents for the output cotangent g, one contraction per tap over shifted
+    views of the zero-padded x: the vectorized counterpart of
+    ``conv_nd_loops`` and ``conv_weight_grad_loops``, for maps too large to
+    loop over.  x: (B, Cin, *sp), w: (Cout, Cin, *k), g: (B, Cout, *out).
+    Returns ``(y, gx, gw)``."""
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    rank = x.ndim - 2
+    out_sp = g.shape[2:]
+    lead = (slice(None), slice(None))
+    xp = np.pad(x, [(0, 0), (0, 0)] + [(padding, padding)] * rank)
+    y = np.zeros(g.shape)
+    gxp = np.zeros(xp.shape)
+    gw = np.zeros(w.shape)
+    summed = [0] + list(range(2, 2 + rank))  # batch and space
+    for tap in np.ndindex(*w.shape[2:]):
+        view = lead + tuple(slice(t, t + n) for t, n in zip(tap, out_sp))
+        w_tap = w[lead + tap]
+        y += np.einsum("oc,bc...->bo...", w_tap, xp[view])
+        gxp[view] += np.einsum("oc,bo...->bc...", w_tap, g)
+        gw[lead + tap] = np.tensordot(g, xp[view], axes=(summed, summed))
+    inner = lead + tuple(slice(padding, padding + n) for n in x.shape[2:])
+    return y, gxp[inner], gw
+
+
 # ---------------------------------------------------------------------------
 # matrix-memory sequence cell: direct transcription of the recurrence
 

@@ -12,7 +12,12 @@ import xlunet.tensor as T
 from xlunet.gradcheck import finite_diff_check
 from xlunet.tensor import ContractError, Graph, Tensor
 
-from oracles import conv_nd_loops, conv_transpose_nd_loops, conv_weight_grad_loops
+from oracles import (
+    conv_nd_loops,
+    conv_stride1_taps,
+    conv_transpose_nd_loops,
+    conv_weight_grad_loops,
+)
 
 
 def _t(arr, grad=False):
@@ -302,6 +307,36 @@ def _counted(monkeypatch, name):
     return calls
 
 
+def _recorded_vjps(monkeypatch):
+    """The VJPs that ops of this module record, in order."""
+    vjps = []
+    real = N.record
+
+    def keep_vjp(out, inputs, vjp):
+        vjps.append(vjp)
+        return real(out, inputs, vjp)
+
+    monkeypatch.setattr(N, "record", keep_vjp)
+    return vjps
+
+
+def _slab_widths(monkeypatch):
+    """One list per ``_slabs`` pass, filled with the column count of each
+    slab it yields."""
+    passes = []
+    real = N._slabs
+
+    def counted(*args):
+        widths = []
+        passes.append(widths)
+        for sl, cols in real(*args):
+            widths.append(cols.shape[2])
+            yield sl, cols
+
+    monkeypatch.setattr(N, "_slabs", counted)
+    return passes
+
+
 @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (1, 0)])
 def test_conv_several_slabs_equal_one_slab(rng, monkeypatch, stride, padding):
     x0 = rng.normal(size=(2, 3, 9, 5, 4))
@@ -318,16 +353,7 @@ def test_conv_several_slabs_equal_one_slab(rng, monkeypatch, stride, padding):
     width = out_sp[2] + (2 if stride == 1 else 0)
     row_bytes = 2 * 3 * 27 * out_sp[1] * width * 8
     monkeypatch.setattr(N, "_SLAB_BYTES", 2 * row_bytes + 1)
-    slab_widths = []
-    real_slabs = N._slabs
-
-    def counted_slabs(*args):
-        slab_widths.append([])
-        for sl, cols in real_slabs(*args):
-            slab_widths[-1].append(cols.shape[2])
-            yield sl, cols
-
-    monkeypatch.setattr(N, "_slabs", counted_slabs)
+    slab_widths = _slab_widths(monkeypatch)
     many = _conv_grads(x0, w0, wt0, conv)
     fwd = slab_widths[0]  # forward: 2 output rows per slab, then the short rest
     assert len(fwd) > 2 and set(fwd[:-1]) == {2 * out_sp[1] * width} and fwd[-1] < fwd[0]
@@ -425,25 +451,39 @@ def test_weight_cotangents_match_the_loop_oracle(geometry, batch, short_slabs):
     x0 = rng.normal(size=(batch, 2) + sp)
     z0 = rng.normal(size=(batch, 2) + out_sp)
     w0 = rng.normal(size=(2, 2) + k)
-    # both weight cotangents slab the same patches: B x 2 channels x k taps,
-    # over output rows as wide as the route makes them
-    grid = N._patch_grid(k, stride, sp)
-    row_bytes = batch * 2 * math.prod(k) * math.prod(grid[1:]) * 8
-    w, wt = _t(w0, grad=True), _t(w0, grad=True)
-    with pytest.MonkeyPatch.context() as mp:
-        if short_slabs:  # two rows per slab, and a short last one at odd sp[0]
-            mp.setattr(N, "_SLAB_BYTES", 2 * row_bytes + 1)
-        with Graph() as g:
-            c = N.conv_nd(_t(z0), w, stride=stride, padding=padding)
-            loss = T.reduce_sum(T.mul(c, _t(x0)))
-        g.backward(loss)
-        with Graph() as g:
-            y = N.conv_transpose_nd(_t(x0), wt, stride=stride, padding=padding, output_size=out_sp)
-            loss = T.reduce_sum(T.mul(y, _t(z0)))
-        g.backward(loss)
+
+    def conv(w):
+        c = N.conv_nd(_t(z0, grad=True), w, stride=stride, padding=padding)
+        return T.reduce_sum(T.mul(c, _t(x0)))
+
+    def conv_t(w):
+        y = N.conv_transpose_nd(_t(x0), w, stride=stride, padding=padding, output_size=out_sp)
+        return T.reduce_sum(T.mul(y, _t(z0)))
+
+    # each weight cotangent comes from the first slab pass of its backward,
+    # over B x 2 channels x k taps per patch column: conv_nd's at stride 1
+    # from the patches of g's window, over z's output rows (z requires
+    # grad); conv_nd's strided one from z's padded patches, and
+    # conv_transpose_nd's from its g's, over sp's output rows
+    routes = ((conv, out_sp if max(stride) == 1 else sp), (conv_t, sp))
     want = conv_weight_grad_loops(z0, x0, k, stride=stride, padding=padding)
-    np.testing.assert_allclose(w.grad, want, rtol=1e-10, atol=1e-10)
-    np.testing.assert_allclose(wt.grad, want, rtol=1e-10, atol=1e-10)
+    for loss_of, rows in routes:
+        grid = N._patch_grid(k, stride, rows)
+        row_bytes = batch * 2 * math.prod(k) * math.prod(grid[1:]) * 8
+        w = _t(w0, grad=True)
+        with pytest.MonkeyPatch.context() as mp:
+            if short_slabs:  # two rows per slab, and a short last one at odd rows[0]
+                mp.setattr(N, "_SLAB_BYTES", 2 * row_bytes + 1)
+            with Graph() as g:
+                loss = loss_of(w)
+            passes = _slab_widths(mp)
+            g.backward(loss)
+        if short_slabs:
+            # two or more slabs from three rows up; a one-tap stride-1
+            # kernel's patch matrix is its input, one slab
+            one_tap = math.prod(k) == 1 and max(stride) == 1
+            assert len(passes[0]) == (1 if one_tap else -(-rows[0] // 2))
+        np.testing.assert_allclose(w.grad, want, rtol=1e-10, atol=1e-10)
 
 
 @pytest.mark.parametrize("offset", [0, 1])
@@ -476,6 +516,41 @@ def test_one_tap_stride1_patches_are_the_input(rng):
     np.testing.assert_allclose(gw[:, :, 0, 0], np.einsum("bohw,bchw->oc", wt0, x0), rtol=1e-12)
 
 
+@pytest.mark.parametrize("cin", [16, 8])  # dec0.res0 and dec0.res1 of the 3-d network
+def test_stride1_backward_at_production_shape(rng, monkeypatch, cin):
+    x0 = rng.normal(size=(2, cin, 16, 16, 16))
+    w0 = rng.normal(size=(8, cin, 3, 3, 3))
+    g0 = rng.normal(size=(2, 8, 16, 16, 16))
+    passes = _slab_widths(monkeypatch)
+    y, gx, gw = _conv_grads(x0, w0, g0, lambda x, w: N.conv_nd(x, w, padding=1))
+    # the backward is one pass over g's patches, several slabs of whole
+    # rows: 16 outputs and the 2 columns past them per row
+    assert len(passes) == 2 and len(passes[1]) > 2
+    assert all(n % (16 * 18) == 0 for n in passes[1])
+    want_y, want_gx, want_gw = conv_stride1_taps(x0, w0, g0, padding=1)
+    np.testing.assert_allclose(y, want_y, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(gx, want_gx, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(gw, want_gw, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_stride1_backward_is_one_slab_pass(rng, monkeypatch, x_grad):
+    x = _t(rng.normal(size=(2, 3, 5, 4, 3)), grad=x_grad)
+    w = _t(rng.normal(size=(4, 3, 3, 3, 3)), grad=True)
+    vjps = _recorded_vjps(monkeypatch)
+    with Graph() as g:
+        loss = T.reduce_sum(N.conv_nd(x, w, padding=1))
+    slabs = _counted(monkeypatch, "_slabs")
+    g.backward(loss)
+    assert len(slabs) == 1
+    kept = [c.cell_contents for c in vjps[0].__closure__]
+    kept = [a for a in kept if isinstance(a, np.ndarray)]
+    if x_grad:  # x's and w's own arrays, and no padded copy of x
+        assert sorted(map(id, kept)) == sorted((id(x.data), id(w.data)))
+    else:  # the stem's route: the weight cotangent re-slabs the padded image
+        assert any(a.shape == (2, 3, 7, 6, 5) for a in kept)
+
+
 @pytest.mark.parametrize(
     "op,stride,padding",
     [("conv", 1, 1), ("conv", 2, 1), ("convT", 2, 0), ("convT", 2, 1)],
@@ -495,14 +570,7 @@ def test_conv_input_without_grad_gets_no_cotangent(rng, monkeypatch, op, stride,
 
     out_shape = conv(_t(x0), _t(w0)).shape
     _, _, w_grad = _conv_grads(x0, w0, np.ones(out_shape), conv)
-    vjps = []
-    real_record = N.record
-
-    def keep_vjp(out, inputs, vjp):
-        vjps.append(vjp)
-        return real_record(out, inputs, vjp)
-
-    monkeypatch.setattr(N, "record", keep_vjp)
+    vjps = _recorded_vjps(monkeypatch)
     x, w = _t(x0), _t(w0, grad=True)  # x is a constant, like the stem's image
     with Graph() as g:
         loss = T.reduce_sum(conv(x, w))

@@ -19,7 +19,7 @@ from oracles import matmul_loops
 # construction and dtype policy
 
 
-def test_python_scalars_become_float32_int32():
+def test_python_input_is_refused():
     # a tensor keeps its array's dtype, and Python input has none to keep
     for data, kind in ((1.5, "float"), (3, "int"), ([1.0, 2.0], "list")):
         with pytest.raises(ContractError, match=f"got {kind}$"):
